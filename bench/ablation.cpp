@@ -11,9 +11,12 @@
 //     cost double every 13 members.
 //  4. RSA public exponent 3 vs 65537: the verification-cost argument for
 //     e=3 in section 6.1.1.
+//
+// Usage: ablation [--json out.json] [--trace out.trace.json] [--wallclock]
 #include <iomanip>
 #include <iostream>
 
+#include "harness/bench_io.h"
 #include "harness/experiment.h"
 
 namespace sgk {
@@ -173,12 +176,21 @@ void tree_balance_ablation() {
 }  // namespace
 }  // namespace sgk
 
-int main() {
+int main(int argc, char** argv) {
+  sgk::BenchOptions opts;
+  std::string err;
+  if (!sgk::BenchOptions::parse(argc, argv, opts, err)) {
+    std::cerr << "error: " << err << "\n";
+    return 2;
+  }
+  if (!opts.rest.empty()) return sgk::reject_argument(opts.rest.front());
+  sgk::ObsSession session(opts);
   sgk::communication_only_wan();
   sgk::key_confirmation_ablation();
   sgk::cpu_contention_ablation();
   sgk::rsa_exponent_ablation();
   sgk::signature_scheme_ablation();
   sgk::tree_balance_ablation();
-  return 0;
+  sgk::obs::RunReport report("ablation");
+  return session.finish(report) ? 0 : 1;
 }

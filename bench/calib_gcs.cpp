@@ -6,10 +6,13 @@
 //    costs a few ms.
 //  * WAN: Agreed delivery costs ~300-335 ms depending on the sender's site;
 //    the membership service costs 400-700 ms.
+//
+// Usage: calib_gcs [--json out.json] [--trace out.trace.json] [--wallclock]
 #include <iomanip>
 #include <iostream>
 
 #include "gcs/spread.h"
+#include "harness/bench_io.h"
 #include "util/bytes.h"
 
 namespace sgk {
@@ -141,8 +144,17 @@ void wan_section() {
 }  // namespace
 }  // namespace sgk
 
-int main() {
+int main(int argc, char** argv) {
+  sgk::BenchOptions opts;
+  std::string err;
+  if (!sgk::BenchOptions::parse(argc, argv, opts, err)) {
+    std::cerr << "error: " << err << "\n";
+    return 2;
+  }
+  if (!opts.rest.empty()) return sgk::reject_argument(opts.rest.front());
+  sgk::ObsSession session(opts);
   sgk::lan_section();
   sgk::wan_section();
-  return 0;
+  sgk::obs::RunReport report("calib_gcs");
+  return session.finish(report) ? 0 : 1;
 }

@@ -17,12 +17,9 @@
 // Usage: chaos_soak [--protocol all|gdh|ckd|tgdh|str|bd] [--seeds N]
 //                   [--fault-rate R] [--group-size N] [--events N]
 //                   [--seed BASE] [--json out.json] [--trace out.trace.json]
-#include <algorithm>
-#include <cctype>
 #include <cstdint>
 #include <iomanip>
 #include <iostream>
-#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -31,63 +28,7 @@
 #include "harness/chaos.h"
 #include "obs/metrics.h"
 
-namespace {
-
 using sgk::ProtocolKind;
-
-bool parse_protocols(const std::string& name, std::vector<ProtocolKind>& out) {
-  static const std::map<std::string, ProtocolKind> kByName = {
-      {"gdh", ProtocolKind::kGdh},   {"ckd", ProtocolKind::kCkd},
-      {"tgdh", ProtocolKind::kTgdh}, {"str", ProtocolKind::kStr},
-      {"bd", ProtocolKind::kBd},     {"tgdh-bal", ProtocolKind::kTgdhBalanced}};
-  std::string lower;
-  for (char c : name)
-    lower.push_back(static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
-  if (lower == "all") {
-    out = {ProtocolKind::kGdh, ProtocolKind::kCkd, ProtocolKind::kTgdh,
-           ProtocolKind::kStr, ProtocolKind::kBd};
-    return true;
-  }
-  const auto it = kByName.find(lower);
-  if (it == kByName.end()) return false;
-  out = {it->second};
-  return true;
-}
-
-/// Matches `--flag value` and `--flag=value`; advances `i` past the value.
-bool take_flag(const std::vector<std::string>& rest, std::size_t& i,
-               const std::string& flag, std::string& value) {
-  const std::string& arg = rest[i];
-  if (arg == flag) {
-    if (i + 1 >= rest.size())
-      throw std::runtime_error(flag + " requires an argument");
-    value = rest[++i];
-    return true;
-  }
-  if (arg.rfind(flag + "=", 0) == 0) {
-    value = arg.substr(flag.size() + 1);
-    return true;
-  }
-  return false;
-}
-
-double quantile(std::vector<double> v, double q) {
-  if (v.empty()) return 0.0;
-  std::sort(v.begin(), v.end());
-  const double rank = q * static_cast<double>(v.size() - 1);
-  const auto lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, v.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return v[lo] + (v[hi] - v[lo]) * frac;
-}
-
-std::string lower_name(ProtocolKind kind) {
-  std::string s = sgk::to_string(kind);
-  for (char& c : s) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  return s;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   sgk::BenchOptions opts;
@@ -98,7 +39,7 @@ int main(int argc, char** argv) {
   }
 
   std::vector<ProtocolKind> protocols;
-  parse_protocols("all", protocols);
+  sgk::parse_protocols("all", protocols);
   int seeds = 16;
   double fault_rate = 0.1;
   std::size_t group_size = 8;
@@ -106,18 +47,18 @@ int main(int argc, char** argv) {
   try {
     for (std::size_t i = 0; i < opts.rest.size(); ++i) {
       std::string value;
-      if (take_flag(opts.rest, i, "--protocol", value)) {
-        if (!parse_protocols(value, protocols)) {
+      if (sgk::take_flag(opts.rest, i, "--protocol", value)) {
+        if (!sgk::parse_protocols(value, protocols)) {
           std::cerr << "error: unknown protocol '" << value << "'\n";
           return 2;
         }
-      } else if (take_flag(opts.rest, i, "--seeds", value)) {
+      } else if (sgk::take_flag(opts.rest, i, "--seeds", value)) {
         seeds = std::stoi(value);
-      } else if (take_flag(opts.rest, i, "--fault-rate", value)) {
+      } else if (sgk::take_flag(opts.rest, i, "--fault-rate", value)) {
         fault_rate = std::stod(value);
-      } else if (take_flag(opts.rest, i, "--group-size", value)) {
+      } else if (sgk::take_flag(opts.rest, i, "--group-size", value)) {
         group_size = std::stoul(value);
-      } else if (take_flag(opts.rest, i, "--events", value)) {
+      } else if (sgk::take_flag(opts.rest, i, "--events", value)) {
         events = std::stoi(value);
       } else {
         std::cerr << "error: unknown argument '" << opts.rest[i] << "'\n";
@@ -185,7 +126,7 @@ int main(int argc, char** argv) {
         for (const std::string& v : r.violations)
           std::cout << "       " << v << "\n";
         std::ostringstream repro;
-        repro << "chaos_soak --protocol=" << lower_name(kind)
+        repro << "chaos_soak --protocol=" << sgk::lower_name(kind)
               << " --seeds=1 --seed=" << seed << " --fault-rate=" << fault_rate
               << " --group-size=" << group_size << " --events=" << events;
         std::cout << "       repro: " << repro.str() << "\n";
@@ -203,8 +144,8 @@ int main(int argc, char** argv) {
     entry.set("restarts", sgk::obs::Json(restarts));
     entry.set("stale_dropped", sgk::obs::Json(stale));
     entry.set("churn_applied", sgk::obs::Json(churn));
-    entry.set("convergence_median_ms", sgk::obs::Json(quantile(converge_ms, 0.5)));
-    entry.set("convergence_p95_ms", sgk::obs::Json(quantile(converge_ms, 0.95)));
+    entry.set("convergence_median_ms", sgk::obs::Json(sgk::quantile(converge_ms, 0.5)));
+    entry.set("convergence_p95_ms", sgk::obs::Json(sgk::quantile(converge_ms, 0.95)));
     chaos.set(proto, std::move(entry));
 
     // "table" rows feed the CI gate (tools/bench_gate): the median
@@ -212,7 +153,7 @@ int main(int argc, char** argv) {
     sgk::obs::Json row = sgk::obs::Json::object();
     row.set("protocol", sgk::obs::Json(proto));
     row.set("event", sgk::obs::Json("chaos_converge"));
-    row.set("elapsed_ms", sgk::obs::Json(quantile(converge_ms, 0.5)));
+    row.set("elapsed_ms", sgk::obs::Json(sgk::quantile(converge_ms, 0.5)));
     table.push(std::move(row));
   }
   report.add_section("chaos", std::move(chaos));

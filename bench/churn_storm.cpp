@@ -28,12 +28,9 @@
 //                    [--protocol all|gdh|ckd|tgdh|str|bd] [--scale 1,2,4]
 //                    [--threads N] [--seed BASE] [--json out.json]
 //                    [--trace out.trace.json] [--wallclock]
-#include <algorithm>
-#include <cctype>
 #include <cstdint>
 #include <iomanip>
 #include <iostream>
-#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -46,55 +43,6 @@
 namespace {
 
 using sgk::ProtocolKind;
-
-bool parse_protocols(const std::string& name, std::vector<ProtocolKind>& out) {
-  static const std::map<std::string, ProtocolKind> kByName = {
-      {"gdh", ProtocolKind::kGdh},   {"ckd", ProtocolKind::kCkd},
-      {"tgdh", ProtocolKind::kTgdh}, {"str", ProtocolKind::kStr},
-      {"bd", ProtocolKind::kBd},     {"tgdh-bal", ProtocolKind::kTgdhBalanced}};
-  std::string lower;
-  for (char c : name)
-    lower.push_back(static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
-  if (lower == "all") {
-    out = {ProtocolKind::kGdh, ProtocolKind::kCkd, ProtocolKind::kTgdh,
-           ProtocolKind::kStr, ProtocolKind::kBd};
-    return true;
-  }
-  const auto it = kByName.find(lower);
-  if (it == kByName.end()) return false;
-  out = {it->second};
-  return true;
-}
-
-/// Matches `--flag value` and `--flag=value`; advances `i` past the value.
-bool take_flag(const std::vector<std::string>& rest, std::size_t& i,
-               const std::string& flag, std::string& value) {
-  const std::string& arg = rest[i];
-  if (arg == flag) {
-    if (i + 1 >= rest.size())
-      throw std::runtime_error(flag + " requires an argument");
-    value = rest[++i];
-    return true;
-  }
-  if (arg.rfind(flag + "=", 0) == 0) {
-    value = arg.substr(flag.size() + 1);
-    return true;
-  }
-  return false;
-}
-
-std::vector<int> parse_scale(const std::string& list) {
-  std::vector<int> out;
-  std::stringstream ss(list);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    const int t = std::stoi(item);
-    if (t < 1) throw std::runtime_error("--scale entries must be >= 1");
-    out.push_back(t);
-  }
-  if (out.empty()) throw std::runtime_error("--scale requires a list");
-  return out;
-}
 
 /// One rekey mode's outcome across the scale sweep: the first run's
 /// deterministic document plus the byte-compare verdict over later runs.
@@ -125,33 +73,33 @@ int main(int argc, char** argv) {
   double window_max_ms = 256.0;
   double budget_ms = 3000.0;
   std::vector<ProtocolKind> protocols;
-  parse_protocols("all", protocols);
+  sgk::parse_protocols("all", protocols);
   std::vector<int> scale = {1, 2, 4};
   bool scale_set = false;
   try {
     for (std::size_t i = 0; i < opts.rest.size(); ++i) {
       std::string value;
-      if (take_flag(opts.rest, i, "--groups", value)) {
+      if (sgk::take_flag(opts.rest, i, "--groups", value)) {
         groups = std::stoul(value);
-      } else if (take_flag(opts.rest, i, "--members", value)) {
+      } else if (sgk::take_flag(opts.rest, i, "--members", value)) {
         members = std::stoul(value);
-      } else if (take_flag(opts.rest, i, "--events", value)) {
+      } else if (sgk::take_flag(opts.rest, i, "--events", value)) {
         events = std::stoi(value);
-      } else if (take_flag(opts.rest, i, "--burst", value)) {
+      } else if (sgk::take_flag(opts.rest, i, "--burst", value)) {
         burst = std::stoi(value);
-      } else if (take_flag(opts.rest, i, "--window-min", value)) {
+      } else if (sgk::take_flag(opts.rest, i, "--window-min", value)) {
         window_min_ms = std::stod(value);
-      } else if (take_flag(opts.rest, i, "--window-max", value)) {
+      } else if (sgk::take_flag(opts.rest, i, "--window-max", value)) {
         window_max_ms = std::stod(value);
-      } else if (take_flag(opts.rest, i, "--budget", value)) {
+      } else if (sgk::take_flag(opts.rest, i, "--budget", value)) {
         budget_ms = std::stod(value);
-      } else if (take_flag(opts.rest, i, "--protocol", value)) {
-        if (!parse_protocols(value, protocols)) {
+      } else if (sgk::take_flag(opts.rest, i, "--protocol", value)) {
+        if (!sgk::parse_protocols(value, protocols)) {
           std::cerr << "error: unknown protocol '" << value << "'\n";
           return 2;
         }
-      } else if (take_flag(opts.rest, i, "--scale", value)) {
-        scale = parse_scale(value);
+      } else if (sgk::take_flag(opts.rest, i, "--scale", value)) {
+        scale = sgk::parse_scale(value);
         scale_set = true;
       } else {
         std::cerr << "error: unknown argument '" << opts.rest[i] << "'\n";

@@ -65,7 +65,9 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::size_t n = 24;
-  if (!opts.rest.empty()) n = std::stoul(opts.rest[0]);
+  for (std::size_t i = 0; i < opts.rest.size(); ++i)
+    if (i >= 1 || !sgk::parse_count(opts.rest[i], n))
+      return sgk::reject_argument(opts.rest[i]);
   const std::uint64_t seed = opts.seed_set ? opts.seed : 11;
   sgk::run(n, seed);
   std::cout << "\nSame experiment on the WAN testbed (13 machines; the split "

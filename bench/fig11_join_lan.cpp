@@ -29,8 +29,8 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < opts.rest.size(); ++i) {
     if (opts.rest[i] == "--csv" && i + 1 < opts.rest.size()) {
       csv_prefix = opts.rest[++i];
-    } else {
-      max_size = static_cast<std::size_t>(std::stoul(opts.rest[i]));
+    } else if (!sgk::parse_count(opts.rest[i], max_size)) {
+      return sgk::reject_argument(opts.rest[i]);
     }
   }
 

@@ -36,9 +36,10 @@ int main(int argc, char** argv) {
     if (opts.rest[i] == "--csv" && i + 1 < opts.rest.size()) {
       csv_prefix = opts.rest[++i];
     } else if (opts.rest[i] == "--seeds" && i + 1 < opts.rest.size()) {
-      seeds = std::stoi(opts.rest[++i]);
-    } else {
-      max_size = static_cast<std::size_t>(std::stoul(opts.rest[i]));
+      if (!sgk::parse_count(opts.rest[++i], seeds))
+        return sgk::reject_argument(opts.rest[i]);
+    } else if (!sgk::parse_count(opts.rest[i], max_size)) {
+      return sgk::reject_argument(opts.rest[i]);
     }
   }
 

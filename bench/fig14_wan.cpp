@@ -54,8 +54,8 @@ int main(int argc, char** argv) {
       topology_only = true;
     } else if (opts.rest[i] == "--dh1024") {
       dh1024 = true;
-    } else {
-      max_size = static_cast<std::size_t>(std::stoul(opts.rest[i]));
+    } else if (!sgk::parse_count(opts.rest[i], max_size)) {
+      return sgk::reject_argument(opts.rest[i]);
     }
   }
 

@@ -21,12 +21,9 @@
 // Usage: fuzz_soak [--protocol all|gdh|ckd|tgdh|str|bd] [--seeds N]
 //                  [--rates R1,R2,...] [--group-size N] [--events N]
 //                  [--seed BASE] [--json out.json] [--trace out.trace.json]
-#include <algorithm>
-#include <cctype>
 #include <cstdint>
 #include <iomanip>
 #include <iostream>
-#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -39,64 +36,12 @@ namespace {
 
 using sgk::ProtocolKind;
 
-bool parse_protocols(const std::string& name, std::vector<ProtocolKind>& out) {
-  static const std::map<std::string, ProtocolKind> kByName = {
-      {"gdh", ProtocolKind::kGdh},   {"ckd", ProtocolKind::kCkd},
-      {"tgdh", ProtocolKind::kTgdh}, {"str", ProtocolKind::kStr},
-      {"bd", ProtocolKind::kBd},     {"tgdh-bal", ProtocolKind::kTgdhBalanced}};
-  std::string lower;
-  for (char c : name)
-    lower.push_back(static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
-  if (lower == "all") {
-    out = {ProtocolKind::kGdh, ProtocolKind::kCkd, ProtocolKind::kTgdh,
-           ProtocolKind::kStr, ProtocolKind::kBd};
-    return true;
-  }
-  const auto it = kByName.find(lower);
-  if (it == kByName.end()) return false;
-  out = {it->second};
-  return true;
-}
-
-/// Matches `--flag value` and `--flag=value`; advances `i` past the value.
-bool take_flag(const std::vector<std::string>& rest, std::size_t& i,
-               const std::string& flag, std::string& value) {
-  const std::string& arg = rest[i];
-  if (arg == flag) {
-    if (i + 1 >= rest.size())
-      throw std::runtime_error(flag + " requires an argument");
-    value = rest[++i];
-    return true;
-  }
-  if (arg.rfind(flag + "=", 0) == 0) {
-    value = arg.substr(flag.size() + 1);
-    return true;
-  }
-  return false;
-}
-
 std::vector<double> parse_rates(const std::string& csv) {
   std::vector<double> rates;
   std::stringstream ss(csv);
   std::string item;
   while (std::getline(ss, item, ',')) rates.push_back(std::stod(item));
   return rates;
-}
-
-double quantile(std::vector<double> v, double q) {
-  if (v.empty()) return 0.0;
-  std::sort(v.begin(), v.end());
-  const double rank = q * static_cast<double>(v.size() - 1);
-  const auto lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, v.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return v[lo] + (v[hi] - v[lo]) * frac;
-}
-
-std::string lower_name(ProtocolKind kind) {
-  std::string s = sgk::to_string(kind);
-  for (char& c : s) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  return s;
 }
 
 }  // namespace
@@ -110,7 +55,7 @@ int main(int argc, char** argv) {
   }
 
   std::vector<ProtocolKind> protocols;
-  parse_protocols("all", protocols);
+  sgk::parse_protocols("all", protocols);
   int seeds = 32;
   std::vector<double> rates = {0.02, 0.05};
   std::size_t group_size = 8;
@@ -118,18 +63,18 @@ int main(int argc, char** argv) {
   try {
     for (std::size_t i = 0; i < opts.rest.size(); ++i) {
       std::string value;
-      if (take_flag(opts.rest, i, "--protocol", value)) {
-        if (!parse_protocols(value, protocols)) {
+      if (sgk::take_flag(opts.rest, i, "--protocol", value)) {
+        if (!sgk::parse_protocols(value, protocols)) {
           std::cerr << "error: unknown protocol '" << value << "'\n";
           return 2;
         }
-      } else if (take_flag(opts.rest, i, "--seeds", value)) {
+      } else if (sgk::take_flag(opts.rest, i, "--seeds", value)) {
         seeds = std::stoi(value);
-      } else if (take_flag(opts.rest, i, "--rates", value)) {
+      } else if (sgk::take_flag(opts.rest, i, "--rates", value)) {
         rates = parse_rates(value);
-      } else if (take_flag(opts.rest, i, "--group-size", value)) {
+      } else if (sgk::take_flag(opts.rest, i, "--group-size", value)) {
         group_size = std::stoul(value);
-      } else if (take_flag(opts.rest, i, "--events", value)) {
+      } else if (sgk::take_flag(opts.rest, i, "--events", value)) {
         events = std::stoi(value);
       } else {
         std::cerr << "error: unknown argument '" << opts.rest[i] << "'\n";
@@ -215,7 +160,7 @@ int main(int argc, char** argv) {
           for (const std::string& v : r.chaos.violations)
             std::cout << "       " << v << "\n";
           std::ostringstream repro;
-          repro << "fuzz_soak --protocol=" << lower_name(kind)
+          repro << "fuzz_soak --protocol=" << sgk::lower_name(kind)
                 << " --seeds=1 --seed=" << seed << " --rates=" << rate_str
                 << " --group-size=" << group_size << " --events=" << events;
           std::cout << "       repro: " << repro.str() << "\n";
@@ -235,9 +180,9 @@ int main(int argc, char** argv) {
       entry.set("frames_rejected", sgk::obs::Json(rejected));
       entry.set("recoveries", sgk::obs::Json(recoveries));
       entry.set("convergence_median_ms",
-                sgk::obs::Json(quantile(converge_ms, 0.5)));
+                sgk::obs::Json(sgk::quantile(converge_ms, 0.5)));
       entry.set("convergence_p95_ms",
-                sgk::obs::Json(quantile(converge_ms, 0.95)));
+                sgk::obs::Json(sgk::quantile(converge_ms, 0.95)));
       per_rate.set(rate_str, std::move(entry));
 
       // "table" rows feed the CI gate (tools/bench_gate): the median
@@ -245,7 +190,7 @@ int main(int argc, char** argv) {
       sgk::obs::Json row = sgk::obs::Json::object();
       row.set("protocol", sgk::obs::Json(proto));
       row.set("event", sgk::obs::Json("fuzz_converge@" + rate_str));
-      row.set("elapsed_ms", sgk::obs::Json(quantile(converge_ms, 0.5)));
+      row.set("elapsed_ms", sgk::obs::Json(sgk::quantile(converge_ms, 0.5)));
       table.push(std::move(row));
     }
     fuzz.set(proto, std::move(per_rate));

@@ -130,9 +130,10 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::size_t n = 16, m = 4, l = 4;
-  if (opts.rest.size() > 0) n = std::stoul(opts.rest[0]);
-  if (opts.rest.size() > 1) m = std::stoul(opts.rest[1]);
-  if (opts.rest.size() > 2) l = std::stoul(opts.rest[2]);
+  std::size_t* const positional[] = {&n, &m, &l};
+  for (std::size_t i = 0; i < opts.rest.size(); ++i)
+    if (i >= 3 || !parse_count(opts.rest[i], *positional[i]))
+      return reject_argument(opts.rest[i]);
   Formulas f{n, m, l};
   ObsSession session(opts);
   const std::string N = std::to_string(n);

@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
   std::size_t n = 16;
   for (const std::string& arg : opts.rest) {
     if (parse_protocol(arg, kind)) continue;
-    n = static_cast<std::size_t>(std::stoul(arg));
+    if (!sgk::parse_count(arg, n)) return sgk::reject_argument(arg);
   }
   if (n < 2) {
     std::cerr << "error: n must be at least 2\n";

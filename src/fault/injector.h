@@ -4,9 +4,10 @@
 // leaves the mechanics to two small interfaces its consumers implement —
 // Scheduler (virtual-time scheduling; src/sim provides the Simulator
 // adapter in sim/fault_adapter.h) and ChurnTarget (membership operations;
-// the chaos harness in src/harness/chaos.* drives a SpreadNetwork). This
-// keeps src/fault below src/sim and src/gcs in the layering DAG while both
-// of them consume its hook types.
+// the chaos harness and each hosted server group implement it by handing
+// the op to server::Deployment::apply, the one interpretation of a churn
+// op). This keeps src/fault below src/sim and src/gcs in the layering DAG
+// while both of them consume its hook types.
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,11 @@
 #include "harness/bench_io.h"
 
 #include <algorithm>
+#include <cctype>
 #include <cstdio>
+#include <map>
+#include <sstream>
+#include <stdexcept>
 #include <utility>
 
 namespace sgk {
@@ -65,6 +69,75 @@ bool BenchOptions::parse(int argc, char** argv, BenchOptions& out,
     }
   }
   return true;
+}
+
+bool take_flag(const std::vector<std::string>& rest, std::size_t& i,
+               const std::string& flag, std::string& value) {
+  const std::string& arg = rest[i];
+  if (arg == flag) {
+    if (i + 1 >= rest.size())
+      throw std::runtime_error(flag + " requires an argument");
+    value = rest[++i];
+    return true;
+  }
+  if (arg.rfind(flag + "=", 0) == 0) {
+    value = arg.substr(flag.size() + 1);
+    return true;
+  }
+  return false;
+}
+
+bool parse_protocols(const std::string& name, std::vector<ProtocolKind>& out) {
+  static const std::map<std::string, ProtocolKind> kByName = {
+      {"gdh", ProtocolKind::kGdh},   {"ckd", ProtocolKind::kCkd},
+      {"tgdh", ProtocolKind::kTgdh}, {"str", ProtocolKind::kStr},
+      {"bd", ProtocolKind::kBd},     {"tgdh-bal", ProtocolKind::kTgdhBalanced}};
+  std::string lower;
+  for (char c : name)
+    lower.push_back(static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
+  if (lower == "all") {
+    out = {ProtocolKind::kGdh, ProtocolKind::kCkd, ProtocolKind::kTgdh,
+           ProtocolKind::kStr, ProtocolKind::kBd};
+    return true;
+  }
+  const auto it = kByName.find(lower);
+  if (it == kByName.end()) return false;
+  out = {it->second};
+  return true;
+}
+
+std::vector<int> parse_scale(const std::string& list) {
+  std::vector<int> out;
+  std::stringstream ss(list);
+  std::string item;
+  while (std::getline(ss, item, ',')) {
+    const int t = std::stoi(item);
+    if (t < 1) throw std::runtime_error("--scale entries must be >= 1");
+    out.push_back(t);
+  }
+  if (out.empty()) throw std::runtime_error("--scale requires a list");
+  return out;
+}
+
+int reject_argument(const std::string& arg) {
+  std::fprintf(stderr, "error: unknown argument '%s'\n", arg.c_str());
+  return 2;
+}
+
+double quantile(std::vector<double> v, double q) {
+  if (v.empty()) return 0.0;
+  std::sort(v.begin(), v.end());
+  const double rank = q * static_cast<double>(v.size() - 1);
+  const auto lo = static_cast<std::size_t>(rank);
+  const std::size_t hi = std::min(lo + 1, v.size() - 1);
+  const double frac = rank - static_cast<double>(lo);
+  return v[lo] + (v[hi] - v[lo]) * frac;
+}
+
+std::string lower_name(ProtocolKind kind) {
+  std::string s = to_string(kind);
+  for (char& c : s) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  return s;
 }
 
 ObsSession::ObsSession(const BenchOptions& opts) : opts_(opts) {
@@ -153,22 +226,6 @@ bool ObsSession::finish(obs::RunReport& report) {
   return ok;
 }
 
-namespace {
-
-// Quantile over a copy of `v` with linear interpolation between order
-// statistics (matches the convention documented in docs/observability.md).
-double sample_quantile(std::vector<double> v, double q) {
-  if (v.empty()) return 0.0;
-  std::sort(v.begin(), v.end());
-  const double rank = q * static_cast<double>(v.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, v.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return v[lo] + (v[hi] - v[lo]) * frac;
-}
-
-}  // namespace
-
 obs::Json sweep_to_json(const SweepResult& result) {
   obs::Json doc = obs::Json::object();
   doc.set("min_size", obs::Json(static_cast<std::uint64_t>(result.min_size)));
@@ -193,9 +250,9 @@ obs::Json sweep_to_json(const SweepResult& result) {
       const std::vector<double>& samples =
           i < s.samples.size() ? s.samples[i] : kEmpty;
       median.push(obs::Json(samples.empty() ? s.values[i]
-                                            : sample_quantile(samples, 0.5)));
+                                            : quantile(samples, 0.5)));
       p95.push(obs::Json(samples.empty() ? s.values[i]
-                                         : sample_quantile(samples, 0.95)));
+                                         : quantile(samples, 0.95)));
     }
     entry.set("mean_ms", std::move(mean));
     entry.set("median_ms", std::move(median));

@@ -4,9 +4,11 @@
 // chrome://tracing) through this header. See docs/observability.md.
 #pragma once
 
+#include <charconv>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "harness/sweep.h"
@@ -47,6 +49,41 @@ struct BenchOptions {
   static bool parse(int argc, char** argv, BenchOptions& out,
                     std::string& error);
 };
+
+// ---- bench-specific argument helpers (the flags in BenchOptions::rest) ----
+
+/// Matches `--flag value` and `--flag=value` at rest[i]; advances `i` past
+/// the value. Throws std::runtime_error when `--flag` has no value.
+bool take_flag(const std::vector<std::string>& rest, std::size_t& i,
+               const std::string& flag, std::string& value);
+
+/// `--protocol` values: "all" (the paper's five protocols) or one protocol
+/// name, case-insensitive. Returns false for an unknown name.
+bool parse_protocols(const std::string& name, std::vector<ProtocolKind>& out);
+
+/// `--scale` values: a comma-separated list of thread counts. Throws
+/// std::runtime_error on an empty list or an entry below 1.
+std::vector<int> parse_scale(const std::string& list);
+
+/// Parses `text` as a whole decimal number; false on anything else (empty,
+/// trailing characters, out of range), so a typo never becomes a size.
+template <typename Int>
+bool parse_count(const std::string& text, Int& out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  return ec == std::errc() && ptr == end;
+}
+
+/// Prints `error: unknown argument '<arg>'` and returns the usage-error exit
+/// status (2) for `main` to return.
+int reject_argument(const std::string& arg);
+
+/// Quantile of a sample with linear interpolation between order statistics
+/// (the convention docs/observability.md documents); 0 for an empty sample.
+double quantile(std::vector<double> v, double q);
+
+/// Lower-case protocol name, as `--protocol` spells it in repro lines.
+std::string lower_name(ProtocolKind kind);
 
 /// Scoped installation of the process-global metrics registry and tracer.
 /// While an ObsSession with observing options is alive, the harness and the

@@ -1,11 +1,12 @@
 #include "harness/chaos.h"
 
 #include <algorithm>
-#include <memory>
 #include <optional>
+#include <string>
 #include <utility>
 
 #include "obs/metrics.h"
+#include "server/deployment.h"
 #include "sim/fault_adapter.h"
 #include "util/check.h"
 
@@ -13,20 +14,33 @@ namespace sgk {
 
 namespace {
 
-/// One chaos run: owns the deployment and interprets churn ops against
-/// whatever population exists when each op fires.
+SpreadParams chaos_params(const ChaosConfig& config) {
+  SpreadParams p;
+  p.batch = config.batch;
+  return p;
+}
+
+MemberConfig chaos_member(const ChaosConfig& config) {
+  MemberConfig cfg;
+  cfg.protocol = config.protocol;
+  cfg.dh_bits = config.dh_bits;
+  cfg.cost = config.cost;
+  cfg.seed = config.seed;
+  cfg.signature = config.signature;
+  cfg.verify_signatures = config.verify_signatures;
+  cfg.recovery_watchdog_ms = config.recovery_watchdog_ms;
+  return cfg;
+}
+
+/// One chaos run: drives the seeded fault plan against a deployment and
+/// checks the invariants at the deadline.
 class ChaosRun final : public fault::ChurnTarget {
  public:
   ChaosRun(const ChaosConfig& config, fault::FaultPlan plan)
       : config_(config),
-        net_(sim_, config.topology,
-             [&] {
-               SpreadParams p;
-               p.batch = config.batch;
-               return p;
-             }()),
-        pki_(std::make_shared<Pki>()),
-        injector_(std::move(plan)) {
+        injector_(std::move(plan)),
+        deployment_(config.topology, chaos_params(config),
+                    chaos_member(config)) {
     if (config_.mutation_rate > 0.0) {
       fault::FrameMutator::Options opts;
       opts.rate = config_.mutation_rate;
@@ -39,53 +53,47 @@ class ChaosRun final : public fault::ChurnTarget {
       mutator_.emplace(config_.seed, opts);
       injector_.set_mutator(&*mutator_);
     }
-    net_.set_fault_hook(&injector_);
+    deployment_.net().set_fault_hook(&injector_);
+    deployment_.set_key_listener(
+        [this](SecureGroupMember& m, SimTime t, std::uint64_t epoch) {
+          checker_.observe_epoch(m.id(), epoch);
+          last_key_time_ = std::max(last_key_time_, t);
+        });
   }
 
   ChaosResult run() {
     // Arm first: the plan's ops are absolute virtual times, and the initial
     // group's agreement may still be running when the first op fires —
     // that cascade is the point.
-    SimFaultScheduler sched(sim_);
+    Simulator& sim = deployment_.sim();
+    SimFaultScheduler sched(sim);
     injector_.arm(sched, *this);
-    for (std::size_t i = 0; i < config_.initial_size; ++i) spawn().join();
+    for (std::size_t i = 0; i < config_.initial_size; ++i)
+      deployment_.spawn().join();
 
     const auto& ops = injector_.plan().ops();
     const double last_op = ops.empty() ? 0.0 : ops.back().at_ms;
     const double deadline = last_op + config_.grace_ms;
-    sim_.run_until(deadline);
-    if (sim_.pending() > 0)
+    sim.run_until(deadline);
+    if (sim.pending() > 0)
       checker_.flag_timeout("run still active at deadline (last op " +
                             std::to_string(last_op) + "ms + grace " +
                             std::to_string(config_.grace_ms) + "ms)");
 
+    const server::Deployment::Audit audit = deployment_.audit(checker_);
     ChaosResult r;
-    std::vector<fault::KeyProbe> probes;
-    for (const auto& m : members_) {
-      if (!m) continue;
-      ++r.final_size;
-      fault::KeyProbe p;
-      p.member = m->id();
-      p.component = net_.component_of_machine(net_.machine_of(m->id()));
-      p.has_key = m->has_key();
-      p.epoch = m->key_epoch();
-      p.key = m->has_key() ? &m->key() : nullptr;
-      probes.push_back(p);
-      checker_.check_no_wedge(m->id(), m->agreement_in_flight());
-      r.restarts += m->agreement_restarts();
-      r.stale_dropped += m->stale_dropped();
-      r.frames_rejected += m->frames_rejected();
-      r.recoveries += m->recoveries();
-      r.final_epoch = std::max(r.final_epoch, m->key_epoch());
-      if (r.fingerprint.empty()) r.fingerprint = m->key_fingerprint();
-    }
-    checker_.check_convergence(probes);
-
+    r.final_size = audit.final_size;
+    r.final_epoch = audit.final_epoch;
+    r.fingerprint = audit.fingerprint();
+    r.restarts = audit.restarts;
+    r.stale_dropped = audit.stale_dropped;
+    r.frames_rejected = audit.frames_rejected;
+    r.recoveries = audit.recoveries;
     r.converged = checker_.ok() && r.final_size >= 2;
     if (r.final_size < 2)
       checker_.flag_timeout("fewer than two members survived");
     r.violations = checker_.violations();
-    r.end_ms = sim_.now();
+    r.end_ms = sim.now();
     r.convergence_ms = std::max(0.0, last_key_time_ - last_op);
     r.wire = injector_.stats();
     r.churn_applied = injector_.stats().churn_applied;
@@ -94,95 +102,18 @@ class ChaosRun final : public fault::ChurnTarget {
   }
 
   void apply(const fault::ChurnOp& op) override {
-    switch (op.kind) {
-      case fault::ChurnKind::kJoin:
-        spawn().join();
-        break;
-      case fault::ChurnKind::kLeave: {
-        auto live = alive();
-        if (live.size() <= 2) break;  // keep a group worth agreeing over
-        SecureGroupMember* victim = live[op.arg % live.size()];
-        victim->leave();
-        members_.at(victim->id()).reset();
-        break;
-      }
-      case fault::ChurnKind::kCrash: {
-        auto live = alive();
-        if (live.size() <= 2) break;
-        SecureGroupMember* victim = live[op.arg % live.size()];
-        // Abrupt daemon-crash model: no leave message, the membership
-        // protocol discovers the absence.
-        net_.disconnect(victim->id());
-        members_.at(victim->id()).reset();
-        break;
-      }
-      case fault::ChurnKind::kPartition: {
-        const auto mc = static_cast<std::uint64_t>(
-            config_.topology.machine_count());
-        if (mc < 2) break;
-        const auto split =
-            static_cast<MachineId>(1 + op.arg % (mc - 1));
-        std::vector<MachineId> a, b;
-        for (MachineId m = 0; m < static_cast<MachineId>(mc); ++m)
-          (m < split ? a : b).push_back(m);
-        net_.partition({a, b});
-        break;
-      }
-      case fault::ChurnKind::kHeal:
-        net_.heal();
-        break;
-      case fault::ChurnKind::kRekey: {
-        auto live = alive();
-        if (live.empty()) break;
-        live[op.arg % live.size()]->request_rekey();
-        break;
-      }
-    }
+    deployment_.apply(op);
     if (obs::MetricsRegistry* mr = obs::metrics())
       mr->counter(std::string("chaos/op/") + fault::to_string(op.kind)).add();
   }
 
  private:
-  SecureGroupMember& spawn() {
-    const auto machine = static_cast<MachineId>(
-        spawned_ % config_.topology.machine_count());
-    ++spawned_;
-    const ProcessId pid = net_.create_process(machine);
-    MemberConfig cfg;
-    cfg.protocol = config_.protocol;
-    cfg.dh_bits = config_.dh_bits;
-    cfg.cost = config_.cost;
-    cfg.seed = config_.seed;
-    cfg.signature = config_.signature;
-    cfg.verify_signatures = config_.verify_signatures;
-    cfg.recovery_watchdog_ms = config_.recovery_watchdog_ms;
-    auto member = std::make_unique<SecureGroupMember>(net_, pid, pki_, cfg);
-    member->set_key_listener([this, pid](SimTime t, std::uint64_t epoch) {
-      checker_.observe_epoch(pid, epoch);
-      last_key_time_ = std::max(last_key_time_, t);
-    });
-    if (members_.size() <= static_cast<std::size_t>(pid))
-      members_.resize(static_cast<std::size_t>(pid) + 1);
-    members_.at(static_cast<std::size_t>(pid)) = std::move(member);
-    return *members_.at(static_cast<std::size_t>(pid));
-  }
-
-  std::vector<SecureGroupMember*> alive() const {
-    std::vector<SecureGroupMember*> out;
-    for (const auto& m : members_)
-      if (m) out.push_back(m.get());
-    return out;
-  }
-
   ChaosConfig config_;
-  Simulator sim_;
-  SpreadNetwork net_;
-  std::shared_ptr<Pki> pki_;
+  // Declared before the deployment so the network's fault hook outlives it.
   fault::FaultInjector injector_;
   std::optional<fault::FrameMutator> mutator_;
   fault::InvariantChecker checker_;
-  std::vector<std::unique_ptr<SecureGroupMember>> members_;  // index: ProcessId
-  std::size_t spawned_ = 0;
+  server::Deployment deployment_;
   double last_key_time_ = 0.0;
 };
 

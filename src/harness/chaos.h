@@ -1,8 +1,8 @@
 // Chaos harness: one seeded fault plan against a full Secure Spread
 // deployment.
 //
-// run_chaos builds a simulated deployment (network, daemons, members with
-// the configured key agreement protocol), arms a FaultInjector with the
+// run_chaos builds a simulated deployment (server/deployment.h: network,
+// daemons, members with the configured key agreement protocol), arms a FaultInjector with the
 // plan derived from (seed, config), lets the schedule play out — cascaded
 // joins/leaves/crashes/partitions landing inside in-flight agreements,
 // wire-level drop/delay/duplication on every daemon copy — and then checks

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <string>
 
+#include "fault/invariants.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "obs/wallclock.h"
@@ -10,10 +11,25 @@
 
 namespace sgk {
 
+namespace {
+
+MemberConfig experiment_member(const ExperimentConfig& config) {
+  MemberConfig cfg;
+  cfg.protocol = config.protocol;
+  cfg.dh_bits = config.dh_bits;
+  cfg.cost = config.cost;
+  cfg.seed = config.seed;
+  cfg.key_confirmation = config.key_confirmation;
+  cfg.signature = config.signature;
+  return cfg;
+}
+
+}  // namespace
+
 Experiment::Experiment(ExperimentConfig config)
     : config_(std::move(config)),
-      net_(sim_, config_.topology),
-      pki_(std::make_shared<Pki>()),
+      deployment_(config_.topology, SpreadParams{},
+                  experiment_member(config_)),
       rng_(config_.seed, "experiment") {
   // Each Experiment has its own Simulator starting at virtual 0; re-base the
   // tracer so sequential experiments lay out sequentially on the timeline.
@@ -22,48 +38,41 @@ Experiment::Experiment(ExperimentConfig config)
 
 Experiment::~Experiment() = default;
 
-SecureGroupMember& Experiment::spawn() {
-  const MachineId machine = static_cast<MachineId>(
-      spawned_ % config_.topology.machine_count());
-  ++spawned_;
-  const ProcessId pid = net_.create_process(machine);
-  MemberConfig cfg;
-  cfg.protocol = config_.protocol;
-  cfg.dh_bits = config_.dh_bits;
-  cfg.cost = config_.cost;
-  cfg.seed = config_.seed;
-  cfg.key_confirmation = config_.key_confirmation;
-  cfg.signature = config_.signature;
-  members_.push_back(std::make_unique<SecureGroupMember>(net_, pid, pki_, cfg));
-  return *members_.back();
-}
-
 void Experiment::grow_to(std::size_t n) {
   while (group_size() < n) {
-    spawn().join();
-    sim_.run();
+    deployment_.spawn().join();
+    deployment_.sim().run();
   }
 }
 
 std::size_t Experiment::group_size() const {
-  std::size_t n = 0;
-  for (const auto& m : members_)
-    if (m) ++n;
-  return n;
+  return deployment_.alive().size();
 }
 
 const std::vector<SecureGroupMember*> Experiment::members() const {
-  std::vector<SecureGroupMember*> out;
-  for (const auto& m : members_)
-    if (m) out.push_back(m.get());
-  return out;
+  return deployment_.alive();
 }
 
 OpCounters Experiment::sum_counters() const {
   OpCounters total;
-  for (const auto& m : members_)
-    if (m) total += m->counters();
+  for (const SecureGroupMember* m : deployment_.alive()) total += m->counters();
   return total;
+}
+
+OpCounters Experiment::snapshot_counters() {
+  // One spare slot for the member a join event spawns.
+  last_counters_.assign(deployment_.spawned() + 1, OpCounters{});
+  for (const SecureGroupMember* m : deployment_.alive())
+    last_counters_.at(deployment_.slot(m->id())) = m->counters();
+  return sum_counters();
+}
+
+void Experiment::check_agreement() const {
+  fault::InvariantChecker checker;
+  deployment_.audit(checker);
+  if (!checker.ok())
+    throw CheckFailure("key agreement check failed: " +
+                       checker.violations().front());
 }
 
 void Experiment::begin_event(const char* event_name, double t0) {
@@ -104,18 +113,17 @@ void Experiment::record_event(const char* event_name, const EventResult& r,
 
 EventResult Experiment::finish_event(const char* event_name, double t0,
                                      OpCounters before_total) {
-  sim_.run();
+  deployment_.sim().run();
+  check_agreement();
   EventResult r;
   r.group_size = group_size();
   double membership = t0;
   double keyed = t0;
-  std::vector<std::uint64_t> epochs;
   for (SecureGroupMember* m : members()) {
-    SGK_CHECK(m->has_key());
     SGK_CHECK(m->key_time() >= t0);
     keyed = std::max(keyed, m->key_time());
     OpCounters delta =
-        m->counters() - last_counters_.at(static_cast<std::size_t>(m->id()));
+        m->counters() - last_counters_.at(deployment_.slot(m->id()));
     if (delta.exp_total() + delta.sign_ops + delta.verify_ops >
         r.max_member.exp_total() + r.max_member.sign_ops + r.max_member.verify_ops)
       r.max_member = delta;
@@ -129,15 +137,10 @@ EventResult Experiment::finish_event(const char* event_name, double t0,
 }
 
 EventResult Experiment::measure_join() {
-  // Snapshot per-member counters.
-  last_counters_.assign(members_.size() + 1, OpCounters{});
-  for (const auto& m : members_)
-    if (m) last_counters_.at(m->id()) = m->counters();
-  const OpCounters before = sum_counters();
-  const double t0 = sim_.now();
+  const OpCounters before = snapshot_counters();
+  const double t0 = deployment_.sim().now();
   begin_event("join", t0);
-  spawn().join();
-  last_counters_.resize(members_.size());
+  deployment_.spawn().join();
   return finish_event("join", t0, before);
 }
 
@@ -161,57 +164,45 @@ EventResult Experiment::measure_leave(LeavePolicy policy) {
   }
   SecureGroupMember* leaver = live.at(pick);
 
-  last_counters_.assign(members_.size(), OpCounters{});
-  for (const auto& m : members_)
-    if (m) last_counters_.at(m->id()) = m->counters();
-  OpCounters before = sum_counters();
+  OpCounters before = snapshot_counters();
   before = before - leaver->counters();  // leaver's past ops drop out of the sum
 
-  const double t0 = sim_.now();
+  const double t0 = deployment_.sim().now();
   begin_event("leave", t0);
-  leaver->leave();
-  members_.at(leaver->id()).reset();
+  deployment_.leave(*leaver);
   return finish_event("leave", t0, before);
 }
 
 EventResult Experiment::measure_multi_leave(std::size_t count) {
   auto live = members();
   SGK_CHECK(live.size() > count);
-  last_counters_.assign(members_.size(), OpCounters{});
-  for (const auto& m : members_)
-    if (m) last_counters_.at(m->id()) = m->counters();
-  OpCounters before = sum_counters();
+  OpCounters before = snapshot_counters();
 
-  const double t0 = sim_.now();
+  const double t0 = deployment_.sim().now();
   begin_event("multi_leave", t0);
   for (std::size_t i = 0; i < count; ++i) {
     const std::size_t pick = static_cast<std::size_t>(rng_.next_u64(live.size()));
     SecureGroupMember* leaver = live.at(pick);
     live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
     before = before - leaver->counters();
-    leaver->leave();
-    members_.at(leaver->id()).reset();
+    deployment_.leave(*leaver);
   }
   return finish_event("multi_leave", t0, before);
 }
 
 EventResult Experiment::measure_partition(
     const std::vector<std::vector<MachineId>>& parts) {
-  last_counters_.assign(members_.size(), OpCounters{});
-  for (const auto& m : members_)
-    if (m) last_counters_.at(m->id()) = m->counters();
-  const OpCounters before = sum_counters();
-  const double t0 = sim_.now();
+  const OpCounters before = snapshot_counters();
+  const double t0 = deployment_.sim().now();
   begin_event("partition", t0);
-  net_.partition(parts);
-  sim_.run();
+  deployment_.net().partition(parts);
+  deployment_.sim().run();
+  // Component-aware: each side of the split must agree within itself.
+  check_agreement();
   EventResult r;
   r.group_size = group_size();
   double keyed = t0;
-  for (SecureGroupMember* m : members()) {
-    SGK_CHECK(m->has_key());
-    keyed = std::max(keyed, m->key_time());
-  }
+  for (SecureGroupMember* m : members()) keyed = std::max(keyed, m->key_time());
   r.elapsed_ms = keyed - t0;
   r.total = sum_counters() - before;
   record_event("partition", r, keyed);
@@ -219,13 +210,10 @@ EventResult Experiment::measure_partition(
 }
 
 EventResult Experiment::measure_merge() {
-  last_counters_.assign(members_.size(), OpCounters{});
-  for (const auto& m : members_)
-    if (m) last_counters_.at(m->id()) = m->counters();
-  const OpCounters before = sum_counters();
-  const double t0 = sim_.now();
+  const OpCounters before = snapshot_counters();
+  const double t0 = deployment_.sim().now();
   begin_event("merge", t0);
-  net_.heal();
+  deployment_.net().heal();
   return finish_event("merge", t0, before);
 }
 

@@ -9,9 +9,10 @@
 #include <optional>
 #include <vector>
 
-#include "gcs/secure_group.h"
 #include "crypto/drbg.h"
+#include "gcs/secure_group.h"
 #include "gcs/spread.h"
+#include "server/deployment.h"
 
 namespace sgk {
 
@@ -59,7 +60,9 @@ class Experiment {
   void grow_to(std::size_t n);
 
   /// Measured events; each runs the simulation to quiescence and asserts
-  /// that every member derived the same key.
+  /// that every member derived the same key (every member of the same
+  /// network component, after a partition); a disagreement throws
+  /// CheckFailure naming the first violation.
   EventResult measure_join();
   EventResult measure_leave(LeavePolicy policy);
   /// `count` random members leave simultaneously (the paper's "partition"
@@ -73,28 +76,29 @@ class Experiment {
 
   std::size_t group_size() const;
   const std::vector<SecureGroupMember*> members() const;
-  SpreadNetwork& network() { return net_; }
-  Simulator& simulator() { return sim_; }
+  SpreadNetwork& network() { return deployment_.net(); }
+  Simulator& simulator() { return deployment_.sim(); }
 
  private:
-  SecureGroupMember& spawn();
+  /// Snapshots every live member's counters (the baseline of the next
+  /// event's per-member deltas) and returns their sum.
+  OpCounters snapshot_counters();
   /// Opens the tracer's root span for a measured event at t0.
   void begin_event(const char* event_name, double t0);
-  /// Runs the sim and collects timing/counter deltas for one event.
+  /// Runs the sim, checks key agreement and collects timing/counter deltas
+  /// for one event.
   EventResult finish_event(const char* event_name, double t0,
                            OpCounters before_total);
+  /// Throws CheckFailure unless every component agrees on one key.
+  void check_agreement() const;
   /// Closes the root span at `keyed` and records event metrics.
   void record_event(const char* event_name, const EventResult& r, double keyed);
   OpCounters sum_counters() const;
 
   ExperimentConfig config_;
-  Simulator sim_;
-  SpreadNetwork net_;
-  std::shared_ptr<Pki> pki_;
+  server::Deployment deployment_;
   Drbg rng_;
-  std::vector<std::unique_ptr<SecureGroupMember>> members_;
   std::vector<OpCounters> last_counters_;  // per member slot, at event start
-  std::size_t spawned_ = 0;
   /// Host-clock stamp taken in begin_event when a wall profiler is
   /// installed; record_event closes the interval so `--wallclock` runs get
   /// real ns per membership event beside the virtual elapsed_ms.

@@ -4,6 +4,7 @@
 #include <string>
 #include <utility>
 
+#include "sim/fault_adapter.h"
 #include "util/check.h"
 
 namespace sgk::server {
@@ -41,21 +42,40 @@ double group_deadline_ms(const GroupSpec& spec) {
   return std::max(last_op, spec.onboard_at_ms) + spec.grace_ms;
 }
 
+namespace {
+
+SpreadParams group_params(const GroupSpec& spec, ProcessId first_pid) {
+  SpreadParams p;
+  p.first_process_id = first_pid;
+  p.batch = spec.batch;
+  return p;
+}
+
+MemberConfig group_member(const GroupSpec& spec) {
+  MemberConfig cfg;
+  cfg.group = spec.name;
+  cfg.protocol = spec.protocol;
+  cfg.dh_bits = spec.dh_bits;
+  cfg.seed = spec.seed;
+  cfg.recovery_watchdog_ms = spec.recovery_watchdog_ms;
+  cfg.recovery_backoff_cap_ms = spec.recovery_backoff_cap_ms;
+  return cfg;
+}
+
+}  // namespace
+
 GroupHost::GroupHost(const GroupSpec& spec, std::shared_ptr<Pki> pki,
                      ProcessId first_pid, const Topology& topology)
     : spec_(spec),
-      first_pid_(first_pid),
-      net_(sim_, topology,
-           [&] {
-             SpreadParams p;
-             p.first_process_id = first_pid;
-             p.batch = spec.batch;
-             return p;
-           }()),
-      pki_(std::move(pki)),
-      injector_(build_group_plan(spec)) {
+      injector_(build_group_plan(spec)),
+      deployment_(topology, group_params(spec, first_pid), group_member(spec),
+                  std::move(pki)) {
   SGK_CHECK(spec_.initial_size >= 2);
-  net_.set_fault_hook(&injector_);
+  deployment_.net().set_fault_hook(&injector_);
+  deployment_.set_key_listener(
+      [this](SecureGroupMember& m, SimTime t, std::uint64_t epoch) {
+        on_key(m, t, epoch);
+      });
 
   const auto& ops = injector_.plan().ops();
   last_op_ms_ = ops.empty() ? spec_.onboard_at_ms : ops.back().at_ms;
@@ -63,11 +83,13 @@ GroupHost::GroupHost(const GroupSpec& spec, std::shared_ptr<Pki> pki,
 
   // Arm everything up front on this group's private simulator: onboarding at
   // the scheduled time, then the churn plan (absolute virtual times).
-  sim_.at(spec_.onboard_at_ms, [this] {
-    for (std::size_t i = 0; i < spec_.initial_size; ++i) spawn().join();
+  Simulator& sim = deployment_.sim();
+  sim.at(spec_.onboard_at_ms, [this] {
+    for (std::size_t i = 0; i < spec_.initial_size; ++i)
+      deployment_.spawn().join();
   });
-  // The scheduler adapter is only used during arm(); all ops land on sim_.
-  SimFaultScheduler sched(sim_);
+  // The scheduler adapter is only used during arm(); all ops land on sim.
+  SimFaultScheduler sched(sim);
   injector_.arm(sched, *this);
 }
 
@@ -78,21 +100,21 @@ void GroupHost::advance(SimTime until) {
   // Every metric recorded while this group's events run lands in the
   // group's own registry, so worker threads never share a sink.
   obs::ScopedMetrics scoped(&metrics_);
-  sim_.run_until(until);
+  deployment_.sim().run_until(until);
 }
 
 GroupStatus GroupHost::status() const {
   GroupStatus s;
   if (finalized_ || done()) {
     s.state = forced_ ? GroupState::kFailed : GroupState::kSettled;
-    s.settled_ms = sim_.now();
+    s.settled_ms = deployment_.sim().now();
   } else if (first_key_ms_ >= 0.0) {
     s.state = GroupState::kActive;
   } else {
     s.state = GroupState::kOnboarding;
   }
   s.epoch = keyed_epochs_.empty() ? 0 : keyed_epochs_.back();
-  s.members = alive().size();
+  s.members = deployment_.alive().size();
   s.rekeys = keyed_epochs_.size() <= 1 ? 0 : keyed_epochs_.size() - 1;
   return s;
 }
@@ -102,35 +124,23 @@ GroupReport GroupHost::finalize(SharedSpreadStats* shared) {
   finalized_ = true;
   obs::ScopedMetrics scoped(&metrics_);
 
-  if (forced_ && sim_.pending() > 0) {
+  if (forced_ && deployment_.sim().pending() > 0) {
     checker_.flag_timeout(spec_.name + " still active at deadline (last op " +
                           std::to_string(last_op_ms_) + "ms + grace " +
                           std::to_string(spec_.grace_ms) + "ms)");
   }
 
+  const Deployment::Audit audit = deployment_.audit(checker_);
   GroupReport r;
   r.id = spec_.id;
   r.protocol = spec_.protocol;
-  std::vector<fault::KeyProbe> probes;
-  for (const auto& m : members_) {
-    if (!m) continue;
-    ++r.final_size;
-    fault::KeyProbe p;
-    p.member = m->id();
-    p.component = net_.component_of_machine(net_.machine_of(m->id()));
-    p.has_key = m->has_key();
-    p.epoch = m->key_epoch();
-    p.key = m->has_key() ? &m->key() : nullptr;
-    probes.push_back(p);
-    checker_.check_no_wedge(m->id(), m->agreement_in_flight());
-    r.restarts += m->agreement_restarts();
-    r.stale_dropped += m->stale_dropped();
-    r.frames_rejected += m->frames_rejected();
-    r.recoveries += m->recoveries();
-    r.final_epoch = std::max(r.final_epoch, m->key_epoch());
-    if (r.fingerprint.empty()) r.fingerprint = m->key_fingerprint();
-  }
-  checker_.check_convergence(probes);
+  r.final_size = audit.final_size;
+  r.final_epoch = audit.final_epoch;
+  r.fingerprint = audit.fingerprint();
+  r.restarts = audit.restarts;
+  r.stale_dropped = audit.stale_dropped;
+  r.frames_rejected = audit.frames_rejected;
+  r.recoveries = audit.recoveries;
   if (r.final_size < 2) checker_.flag_timeout("fewer than two members survived");
 
   r.converged = checker_.ok() && r.final_size >= 2;
@@ -138,125 +148,48 @@ GroupReport GroupHost::finalize(SharedSpreadStats* shared) {
   r.rekeys = keyed_epochs_.size() <= 1 ? 0 : keyed_epochs_.size() - 1;
   r.onboard_ms =
       first_key_ms_ < 0.0 ? 0.0 : first_key_ms_ - spec_.onboard_at_ms;
-  r.settled_ms = sim_.now();
+  r.settled_ms = deployment_.sim().now();
   r.event_to_key_ms = event_to_key_ms_;
   r.events_applied = events_applied_;
-  if (const RekeyBatcher* b = net_.batcher()) r.batch = b->stats(spec_.name);
+  if (const RekeyBatcher* b = deployment_.net().batcher())
+    r.batch = b->stats(spec_.name);
 
   metrics_.counter("server/groups_finalized").add();
   if (!r.converged) metrics_.counter("server/groups_failed").add();
 
-  if (shared != nullptr) shared->absorb(net_);
+  if (shared != nullptr) shared->absorb(deployment_.net());
   return r;
 }
 
 void GroupHost::apply(const fault::ChurnOp& op) {
-  bool applied = true;
-  switch (op.kind) {
-    case fault::ChurnKind::kJoin:
-      spawn().join();
-      break;
-    case fault::ChurnKind::kLeave: {
-      auto live = alive();
-      if (live.size() <= 2) {  // keep a group worth agreeing over
-        applied = false;
-        break;
-      }
-      SecureGroupMember* victim = live[op.arg % live.size()];
-      victim->leave();
-      members_.at(slot(victim->id())).reset();
-      break;
-    }
-    case fault::ChurnKind::kCrash: {
-      auto live = alive();
-      if (live.size() <= 2) {
-        applied = false;
-        break;
-      }
-      SecureGroupMember* victim = live[op.arg % live.size()];
-      net_.disconnect(victim->id());
-      members_.at(slot(victim->id())).reset();
-      break;
-    }
-    case fault::ChurnKind::kPartition: {
-      const auto mc =
-          static_cast<std::uint64_t>(net_.topology().machine_count());
-      if (mc < 2) {
-        applied = false;
-        break;
-      }
-      const auto split = static_cast<MachineId>(1 + op.arg % (mc - 1));
-      std::vector<MachineId> a, b;
-      for (MachineId m = 0; m < static_cast<MachineId>(mc); ++m)
-        (m < split ? a : b).push_back(m);
-      net_.partition({a, b});
-      break;
-    }
-    case fault::ChurnKind::kHeal:
-      net_.heal();
-      break;
-    case fault::ChurnKind::kRekey: {
-      auto live = alive();
-      if (live.empty()) {
-        applied = false;
-        break;
-      }
-      live[op.arg % live.size()]->request_rekey();
-      break;
-    }
-  }
-  if (applied) ++events_applied_;
+  if (deployment_.apply(op)) ++events_applied_;
   if (obs::MetricsRegistry* mr = obs::metrics())
     mr->counter(std::string("server/op/") + fault::to_string(op.kind)).add();
 }
 
-SecureGroupMember& GroupHost::spawn() {
-  const auto machine = static_cast<MachineId>(
-      spawned_ % net_.topology().machine_count());
-  ++spawned_;
-  const ProcessId pid = net_.create_process(machine);
-  MemberConfig cfg;
-  cfg.group = spec_.name;
-  cfg.protocol = spec_.protocol;
-  cfg.dh_bits = spec_.dh_bits;
-  cfg.seed = spec_.seed;
-  cfg.recovery_watchdog_ms = spec_.recovery_watchdog_ms;
-  cfg.recovery_backoff_cap_ms = spec_.recovery_backoff_cap_ms;
-  auto member = std::make_unique<SecureGroupMember>(net_, pid, pki_, cfg);
-  SecureGroupMember* mp = member.get();
-  member->set_key_listener([this, mp, pid](SimTime t, std::uint64_t epoch) {
-    checker_.observe_epoch(pid, epoch);
-    if (first_key_ms_ < 0.0) first_key_ms_ = t;
-    // View install -> key established, the per-install agreement latency.
-    const double latency = t - mp->view_time();
-    event_to_key_ms_.push_back(latency);
-    if (obs::MetricsRegistry* mr = obs::metrics())
-      mr->histogram("server/event_to_key_ms").observe(latency);
-    // Track distinct keyed epochs (mostly ascending; cascades can skip).
-    if (keyed_epochs_.empty() || keyed_epochs_.back() < epoch) {
-      keyed_epochs_.push_back(epoch);
-      // Latency feedback for the rekey pipeline, once per fresh epoch: the
-      // first member to key an epoch completes the oldest outstanding
-      // flush's event-arrival -> key samples.
-      if (RekeyBatcher* b = net_.batcher()) b->note_key_installed(spec_.name, t);
-    } else if (!std::binary_search(keyed_epochs_.begin(), keyed_epochs_.end(),
-                                   epoch)) {
-      keyed_epochs_.insert(std::lower_bound(keyed_epochs_.begin(),
-                                            keyed_epochs_.end(), epoch),
-                           epoch);
-    }
-  });
-  const std::size_t s = slot(pid);
-  if (members_.size() <= s) members_.resize(s + 1);
-  members_.at(s) = std::move(member);
-  return *members_.at(s);
-}
-
-std::vector<SecureGroupMember*> GroupHost::alive() const {
-  std::vector<SecureGroupMember*> out;
-  for (const auto& m : members_)
-    if (m) out.push_back(m.get());
-  return out;
+void GroupHost::on_key(SecureGroupMember& member, SimTime t,
+                       std::uint64_t epoch) {
+  checker_.observe_epoch(member.id(), epoch);
+  if (first_key_ms_ < 0.0) first_key_ms_ = t;
+  // View install -> key established, the per-install agreement latency.
+  const double latency = t - member.view_time();
+  event_to_key_ms_.push_back(latency);
+  if (obs::MetricsRegistry* mr = obs::metrics())
+    mr->histogram("server/event_to_key_ms").observe(latency);
+  // Track distinct keyed epochs (mostly ascending; cascades can skip).
+  if (keyed_epochs_.empty() || keyed_epochs_.back() < epoch) {
+    keyed_epochs_.push_back(epoch);
+    // Latency feedback for the rekey pipeline, once per fresh epoch: the
+    // first member to key an epoch completes the oldest outstanding flush's
+    // event-arrival -> key samples.
+    if (RekeyBatcher* b = deployment_.net().batcher())
+      b->note_key_installed(spec_.name, t);
+  } else if (!std::binary_search(keyed_epochs_.begin(), keyed_epochs_.end(),
+                                 epoch)) {
+    keyed_epochs_.insert(
+        std::lower_bound(keyed_epochs_.begin(), keyed_epochs_.end(), epoch),
+        epoch);
+  }
 }
 
 }  // namespace sgk::server

@@ -1,6 +1,6 @@
 // One hosted group: a complete, isolated Secure Spread deployment (its own
-// Simulator, SpreadNetwork, members and seeded churn plan) that a
-// GroupServer advances in virtual-time slices.
+// server::Deployment — Simulator, SpreadNetwork, members — and seeded churn
+// plan) that a GroupServer advances in virtual-time slices.
 //
 // Isolation is the determinism mechanism: everything a host touches while
 // advancing is owned by the host, except two structures with real locks —
@@ -20,9 +20,8 @@
 #include "gcs/secure_group.h"
 #include "gcs/spread.h"
 #include "obs/metrics.h"
+#include "server/deployment.h"
 #include "server/group_directory.h"
-#include "sim/fault_adapter.h"
-#include "sim/simulator.h"
 #include "sim/topology.h"
 #include "util/thread_annotations.h"
 
@@ -89,12 +88,14 @@ class GroupHost final : public fault::ChurnTarget {
 
   /// True once the event queue drained (the group converged and went quiet)
   /// or the host was force-settled at its deadline.
-  bool done() const { return forced_ || sim_.pending() == 0; }
+  bool done() const { return forced_ || deployment_.sim().pending() == 0; }
 
   /// Conservative lookahead: virtual time of this group's next event
   /// (+infinity when quiet). An executor may skip any epoch that ends
   /// before this without advancing the host.
-  SimTime next_event_time() const { return sim_.next_event_time(); }
+  SimTime next_event_time() const {
+    return deployment_.sim().next_event_time();
+  }
 
   /// Liveness bound: last scheduled churn op + grace.
   double deadline_ms() const { return deadline_ms_; }
@@ -119,22 +120,14 @@ class GroupHost final : public fault::ChurnTarget {
 
  private:
   void apply(const fault::ChurnOp& op) override;
-  SecureGroupMember& spawn();
-  std::vector<SecureGroupMember*> alive() const;
-  std::size_t slot(ProcessId pid) const {
-    return static_cast<std::size_t>(pid - first_pid_);
-  }
+  void on_key(SecureGroupMember& member, SimTime t, std::uint64_t epoch);
 
   GroupSpec spec_;
-  ProcessId first_pid_;
-  Simulator sim_;
-  SpreadNetwork net_;
-  std::shared_ptr<Pki> pki_;
+  // Declared before the deployment so the network's fault hook outlives it.
   fault::FaultInjector injector_;
   fault::InvariantChecker checker_;
   obs::MetricsRegistry metrics_;
-  std::vector<std::unique_ptr<SecureGroupMember>> members_;  // slot(pid)
-  std::size_t spawned_ = 0;
+  Deployment deployment_;
   std::uint64_t events_applied_ = 0;
   double last_op_ms_ = 0.0;
   double deadline_ms_ = 0.0;

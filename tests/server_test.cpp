@@ -1,8 +1,9 @@
 // src/server: the multi-group daemon. The headline contract under test is
 // determinism — a GroupServer run must produce byte-identical output for any
 // worker-thread count — plus the pieces that contract is built from: the
-// shard executor's epoch barrier, disjoint per-group process-id blocks, and
-// the directory's ordered snapshots.
+// shard executor's epoch barrier, disjoint per-group process-id blocks, the
+// directory's ordered snapshots, and the Deployment every group (and every
+// chaos and experiment run) is driven through.
 #include "server/server.h"
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 
 #include "obs/metrics.h"
 #include "obs/run_report.h"
+#include "server/deployment.h"
 #include "server/group_directory.h"
 #include "server/shard_executor.h"
 #include "sim/topology.h"
@@ -99,6 +101,98 @@ TEST(GroupServer, ProcessIdBlocksAreDisjoint) {
   EXPECT_EQ(net.create_process(0), 3 * GroupServer::kPidStride);
   EXPECT_EQ(net.create_process(1), 3 * GroupServer::kPidStride + 1);
   EXPECT_EQ(net.first_process_id(), 3 * GroupServer::kPidStride);
+}
+
+// Deployment::apply is the one interpretation of a churn op. Each verdict is
+// pinned on a scripted op list, including the skipped ops (a leave or crash
+// at two members) that a server counts out of its events_applied.
+TEST(Deployment, ApplyVerdictsOnAScriptedOpList) {
+  MemberConfig member;
+  member.protocol = ProtocolKind::kTgdh;
+  Deployment d(lan_testbed(4), SpreadParams{}, member);
+  const auto apply = [&](fault::ChurnKind kind, std::uint64_t arg) {
+    const bool applied = d.apply(fault::ChurnOp{d.sim().now(), kind, arg});
+    d.sim().run();
+    return applied;
+  };
+  using fault::ChurnKind;
+
+  EXPECT_FALSE(apply(ChurnKind::kRekey, 0));  // nobody to request it
+  EXPECT_EQ(d.alive().size(), 0u);
+  for (int i = 0; i < 3; ++i) EXPECT_TRUE(apply(ChurnKind::kJoin, 0));
+  EXPECT_EQ(d.alive().size(), 3u);
+  EXPECT_TRUE(apply(ChurnKind::kLeave, 1));
+  EXPECT_EQ(d.alive().size(), 2u);
+  EXPECT_FALSE(apply(ChurnKind::kLeave, 0));  // would drop below two
+  EXPECT_FALSE(apply(ChurnKind::kCrash, 1));
+  EXPECT_EQ(d.alive().size(), 2u);
+  EXPECT_TRUE(apply(ChurnKind::kJoin, 0));
+  EXPECT_TRUE(apply(ChurnKind::kCrash, 0));
+  EXPECT_EQ(d.alive().size(), 2u);
+  EXPECT_EQ(d.spawned(), 4u);
+  EXPECT_TRUE(apply(ChurnKind::kRekey, 7));
+
+  // Split machines {0} / {1,2,3}: the two survivors (members 2 and 3, on
+  // machines 2 and 3) stay together, so one component must still agree.
+  EXPECT_TRUE(apply(ChurnKind::kPartition, 3));
+  EXPECT_TRUE(apply(ChurnKind::kHeal, 0));
+
+  fault::InvariantChecker checker;
+  const Deployment::Audit audit = d.audit(checker);
+  EXPECT_TRUE(checker.ok()) << checker.violations().front();
+  EXPECT_EQ(audit.final_size, 2u);
+  EXPECT_EQ(audit.frames_rejected, 0u);
+  EXPECT_EQ(audit.recoveries, 0u);
+  ASSERT_NE(audit.first_keyed, nullptr);
+  EXPECT_EQ(audit.first_keyed, d.alive().front());
+  for (const SecureGroupMember* m : d.alive()) {
+    EXPECT_EQ(m->key_epoch(), audit.final_epoch);
+    EXPECT_EQ(m->key_fingerprint(), audit.fingerprint());
+  }
+  // Joins, leave, crash, rekey and the heal each re-keyed the group.
+  EXPECT_GE(audit.final_epoch, 7u);
+}
+
+// The split point is 1 + arg % (machines - 1); with one machine there is
+// nothing to split, and the op reports that it did not take effect.
+TEST(Deployment, PartitionOfOneMachineIsSkipped) {
+  Deployment d(lan_testbed(1), SpreadParams{}, MemberConfig{});
+  for (int i = 0; i < 2; ++i) d.spawn().join();
+  d.sim().run();
+  EXPECT_FALSE(d.apply(fault::ChurnOp{d.sim().now(), fault::ChurnKind::kPartition, 0}));
+  EXPECT_TRUE(d.apply(fault::ChurnOp{d.sim().now(), fault::ChurnKind::kHeal, 0}));
+  d.sim().run();
+  fault::InvariantChecker checker;
+  EXPECT_EQ(d.audit(checker).final_size, 2u);
+  EXPECT_TRUE(checker.ok());
+}
+
+// The audit probes per network component: mid-partition the two sides hold
+// different keys and that is not a violation, but a member still running
+// its agreement is reported as wedged.
+TEST(Deployment, AuditIsComponentAwareAndFlagsInFlightMembers) {
+  Deployment d(lan_testbed(2), SpreadParams{}, MemberConfig{});
+  for (int i = 0; i < 4; ++i) d.spawn().join();
+  d.sim().run();
+  d.net().partition({{0}, {1}});
+  d.sim().run();
+  fault::InvariantChecker split;
+  EXPECT_EQ(d.audit(split).final_size, 4u);
+  EXPECT_TRUE(split.ok()) << split.violations().front();
+
+  // Stop the next join's agreement half way: step until a member is in it.
+  d.spawn().join();
+  const auto in_flight = [&] {
+    for (const SecureGroupMember* m : d.alive())
+      if (m->agreement_in_flight()) return true;
+    return false;
+  };
+  while (!in_flight()) ASSERT_TRUE(d.sim().step());
+  fault::InvariantChecker early;
+  d.audit(early);
+  ASSERT_FALSE(early.ok());
+  EXPECT_EQ(early.violations().front().rfind("wedge: member", 0), 0u)
+      << early.violations().front();
 }
 
 TEST(ShardExecutor, EpochBarrierRunsEveryShardToCompletion) {
