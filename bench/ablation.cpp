@@ -11,8 +11,6 @@
 //     cost double every 13 members.
 //  4. RSA public exponent 3 vs 65537: the verification-cost argument for
 //     e=3 in section 6.1.1.
-//
-// Usage: ablation [--json out.json] [--trace out.trace.json] [--wallclock]
 #include <iomanip>
 #include <iostream>
 
@@ -178,12 +176,8 @@ void tree_balance_ablation() {
 
 int main(int argc, char** argv) {
   sgk::BenchOptions opts;
-  std::string err;
-  if (!sgk::BenchOptions::parse(argc, argv, opts, err)) {
-    std::cerr << "error: " << err << "\n";
-    return 2;
-  }
-  if (!opts.rest.empty()) return sgk::reject_argument(opts.rest.front());
+  sgk::FlagTable flags(opts);
+  if (const auto status = flags.parse(argc, argv)) return *status;
   sgk::ObsSession session(opts);
   sgk::communication_only_wan();
   sgk::key_confirmation_ablation();

@@ -6,8 +6,6 @@
 //    costs a few ms.
 //  * WAN: Agreed delivery costs ~300-335 ms depending on the sender's site;
 //    the membership service costs 400-700 ms.
-//
-// Usage: calib_gcs [--json out.json] [--trace out.trace.json] [--wallclock]
 #include <iomanip>
 #include <iostream>
 
@@ -146,12 +144,8 @@ void wan_section() {
 
 int main(int argc, char** argv) {
   sgk::BenchOptions opts;
-  std::string err;
-  if (!sgk::BenchOptions::parse(argc, argv, opts, err)) {
-    std::cerr << "error: " << err << "\n";
-    return 2;
-  }
-  if (!opts.rest.empty()) return sgk::reject_argument(opts.rest.front());
+  sgk::FlagTable flags(opts);
+  if (const auto status = flags.parse(argc, argv)) return *status;
   sgk::ObsSession session(opts);
   sgk::lan_section();
   sgk::wan_section();

@@ -13,10 +13,6 @@
 //
 // Each failing run prints a one-line repro command; re-running it replays
 // the identical schedule (the whole run is a pure function of the flags).
-//
-// Usage: chaos_soak [--protocol all|gdh|ckd|tgdh|str|bd] [--seeds N]
-//                   [--fault-rate R] [--group-size N] [--events N]
-//                   [--seed BASE] [--json out.json] [--trace out.trace.json]
 #include <cstdint>
 #include <iomanip>
 #include <iostream>
@@ -32,49 +28,24 @@ using sgk::ProtocolKind;
 
 int main(int argc, char** argv) {
   sgk::BenchOptions opts;
-  std::string err;
-  if (!sgk::BenchOptions::parse(argc, argv, opts, err)) {
-    std::cerr << "error: " << err << "\n";
-    return 2;
-  }
-
   std::vector<ProtocolKind> protocols;
   sgk::parse_protocols("all", protocols);
   int seeds = 16;
   double fault_rate = 0.1;
   std::size_t group_size = 8;
   int events = 6;
-  try {
-    for (std::size_t i = 0; i < opts.rest.size(); ++i) {
-      std::string value;
-      if (sgk::take_flag(opts.rest, i, "--protocol", value)) {
-        if (!sgk::parse_protocols(value, protocols)) {
-          std::cerr << "error: unknown protocol '" << value << "'\n";
-          return 2;
-        }
-      } else if (sgk::take_flag(opts.rest, i, "--seeds", value)) {
-        seeds = std::stoi(value);
-      } else if (sgk::take_flag(opts.rest, i, "--fault-rate", value)) {
-        fault_rate = std::stod(value);
-      } else if (sgk::take_flag(opts.rest, i, "--group-size", value)) {
-        group_size = std::stoul(value);
-      } else if (sgk::take_flag(opts.rest, i, "--events", value)) {
-        events = std::stoi(value);
-      } else {
-        std::cerr << "error: unknown argument '" << opts.rest[i] << "'\n";
-        return 2;
-      }
-    }
-  } catch (const std::exception& e) {
-    std::cerr << "error: " << e.what() << "\n";
-    return 2;
-  }
-  if (seeds < 1 || events < 0 || group_size < 2 || fault_rate < 0.0 ||
-      fault_rate > 1.0) {
-    std::cerr << "error: need --seeds >= 1, --events >= 0, --group-size >= 2, "
-                 "--fault-rate in [0,1]\n";
-    return 2;
-  }
+  sgk::FlagTable flags(opts);
+  flags.add("--protocol P", protocols, "all, or one of gdh|ckd|tgdh|str|bd");
+  flags.add("--seeds N", seeds, "runs per protocol, seeds --seed onwards",
+            sgk::at_least(1));
+  flags.add("--fault-rate R", fault_rate,
+            "drop/delay/duplicate rate per daemon-to-daemon copy",
+            sgk::at_least(0, 1));
+  flags.add("--group-size N", group_size, "initial members",
+            sgk::at_least(2));
+  flags.add("--events N", events, "membership faults per run",
+            sgk::at_least(0));
+  if (const auto status = flags.parse(argc, argv)) return *status;
 
   sgk::ObsSession session(opts);
   sgk::obs::RunReport report("chaos_soak");

@@ -22,12 +22,6 @@
 // "churn_storm" section and stamps schema sgk-bench/3 (the batch payload);
 // tools/bench_gate watches the per-mode aggregate/batch cells plus the
 // "table" rows emitted here.
-//
-// Usage: churn_storm [--groups N] [--members N] [--events N] [--burst N]
-//                    [--window-min MS] [--window-max MS] [--budget MS]
-//                    [--protocol all|gdh|ckd|tgdh|str|bd] [--scale 1,2,4]
-//                    [--threads N] [--seed BASE] [--json out.json]
-//                    [--trace out.trace.json] [--wallclock]
 #include <cstdint>
 #include <iomanip>
 #include <iostream>
@@ -59,12 +53,6 @@ struct ModeOutcome {
 
 int main(int argc, char** argv) {
   sgk::BenchOptions opts;
-  std::string err;
-  if (!sgk::BenchOptions::parse(argc, argv, opts, err)) {
-    std::cerr << "error: " << err << "\n";
-    return 2;
-  }
-
   std::size_t groups = 30;
   std::size_t members = 5;
   int events = 24;
@@ -75,48 +63,25 @@ int main(int argc, char** argv) {
   std::vector<ProtocolKind> protocols;
   sgk::parse_protocols("all", protocols);
   std::vector<int> scale = {1, 2, 4};
-  bool scale_set = false;
-  try {
-    for (std::size_t i = 0; i < opts.rest.size(); ++i) {
-      std::string value;
-      if (sgk::take_flag(opts.rest, i, "--groups", value)) {
-        groups = std::stoul(value);
-      } else if (sgk::take_flag(opts.rest, i, "--members", value)) {
-        members = std::stoul(value);
-      } else if (sgk::take_flag(opts.rest, i, "--events", value)) {
-        events = std::stoi(value);
-      } else if (sgk::take_flag(opts.rest, i, "--burst", value)) {
-        burst = std::stoi(value);
-      } else if (sgk::take_flag(opts.rest, i, "--window-min", value)) {
-        window_min_ms = std::stod(value);
-      } else if (sgk::take_flag(opts.rest, i, "--window-max", value)) {
-        window_max_ms = std::stod(value);
-      } else if (sgk::take_flag(opts.rest, i, "--budget", value)) {
-        budget_ms = std::stod(value);
-      } else if (sgk::take_flag(opts.rest, i, "--protocol", value)) {
-        if (!sgk::parse_protocols(value, protocols)) {
-          std::cerr << "error: unknown protocol '" << value << "'\n";
-          return 2;
-        }
-      } else if (sgk::take_flag(opts.rest, i, "--scale", value)) {
-        scale = sgk::parse_scale(value);
-        scale_set = true;
-      } else {
-        std::cerr << "error: unknown argument '" << opts.rest[i] << "'\n";
-        return 2;
-      }
-    }
-  } catch (const std::exception& e) {
-    std::cerr << "error: " << e.what() << "\n";
-    return 2;
-  }
-  if (groups < 1 || members < 2 || events < 1 || burst < 1 ||
-      window_min_ms < 0.0 || window_max_ms < window_min_ms) {
-    std::cerr << "error: need --groups >= 1, --members >= 2, --events >= 1, "
-                 "--burst >= 1, 0 <= --window-min <= --window-max\n";
-    return 2;
-  }
-  if (opts.threads_set && !scale_set) scale = {opts.threads};
+  sgk::FlagTable flags(opts);
+  flags.add("--groups N", groups, "groups hosted", sgk::at_least(1));
+  flags.add("--members N", members, "members per group", sgk::at_least(2));
+  flags.add("--events N", events, "storm events per group", sgk::at_least(1));
+  flags.add("--burst N", burst, "events per burst", sgk::at_least(1));
+  flags.add("--window-min MS", window_min_ms, "smallest batching window",
+            sgk::at_least(0));
+  flags.add("--window-max MS", window_max_ms,
+            "largest batching window, >= --window-min");
+  flags.add("--budget MS", budget_ms, "event-to-key latency budget");
+  flags.add("--protocol P", protocols,
+            "all (round-robin mix), or one of gdh|ckd|tgdh|str|bd");
+  flags.add("--scale N,...", scale,
+            "thread counts to sweep and byte-compare", sgk::at_least(1));
+  if (const auto status = flags.parse(argc, argv)) return *status;
+  if (window_max_ms < window_min_ms)
+    return flags.fail("--window-max", "must be >= --window-min, got");
+  if (flags.given("--threads") && !flags.given("--scale"))
+    scale = {opts.threads};
 
   sgk::ObsSession session(opts);
   sgk::obs::RunReport report("churn_storm");

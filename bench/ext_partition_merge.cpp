@@ -12,8 +12,6 @@
 //  * merge: the previously partitioned components heal; the merged group of
 //    n members re-keys. GDH's merge takes m+3 rounds so it should scale
 //    worst in rounds; BD restarts from scratch; TGDH/STR merge trees.
-//
-// Usage: ext_partition_merge [n] [--seed <n>]
 #include <iomanip>
 #include <iostream>
 
@@ -59,17 +57,13 @@ void run(std::size_t n, std::uint64_t seed) {
 
 int main(int argc, char** argv) {
   sgk::BenchOptions opts;
-  std::string err;
-  if (!sgk::BenchOptions::parse(argc, argv, opts, err)) {
-    std::cerr << "error: " << err << "\n";
-    return 1;
-  }
+  opts.seed = 11;  // this bench's default base seed
   std::size_t n = 24;
-  for (std::size_t i = 0; i < opts.rest.size(); ++i)
-    if (i >= 1 || !sgk::parse_count(opts.rest[i], n))
-      return sgk::reject_argument(opts.rest[i]);
-  const std::uint64_t seed = opts.seed_set ? opts.seed : 11;
-  sgk::run(n, seed);
+  sgk::FlagTable flags(opts);
+  flags.add("n", n, "LAN group size");
+  if (const auto status = flags.parse(argc, argv)) return *status;
+  sgk::ObsSession session(opts);
+  sgk::run(n, opts.seed);
   std::cout << "\nSame experiment on the WAN testbed (13 machines; the split "
                "separates the two remote sites):\n";
   using namespace sgk;
@@ -81,7 +75,7 @@ int main(int argc, char** argv) {
     ExperimentConfig ec;
     ec.topology = wan_testbed();
     ec.protocol = kind;
-    ec.seed = seed;
+    ec.seed = opts.seed;
     Experiment exp(ec);
     exp.grow_to(26);
     // JHU machines 0..10 vs {UCI, ICU} machines 11, 12.
@@ -94,5 +88,6 @@ int main(int argc, char** argv) {
               << std::fixed << std::setprecision(1) << split.elapsed_ms
               << std::setw(18) << merge.elapsed_ms << "\n";
   }
-  return 0;
+  sgk::obs::RunReport report("ext_partition_merge");
+  return session.finish(report) ? 0 : 1;
 }

@@ -8,9 +8,6 @@
 //    close and best at scale; GDH/CKD linear with GDH above CKD.
 //  * 1024-bit: GDH worst (expensive exponentiations dominate); BD stays
 //    competitive up to ~24 members.
-//
-// Usage: fig11_join_lan [max_size] [--csv out_prefix]
-//                       [--json out.json] [--trace out.trace.json]
 #include <iostream>
 #include <string>
 
@@ -19,20 +16,13 @@
 
 int main(int argc, char** argv) {
   sgk::BenchOptions opts;
-  std::string err;
-  if (!sgk::BenchOptions::parse(argc, argv, opts, err)) {
-    std::cerr << "error: " << err << "\n";
-    return 1;
-  }
   std::size_t max_size = 50;
   std::string csv_prefix;
-  for (std::size_t i = 0; i < opts.rest.size(); ++i) {
-    if (opts.rest[i] == "--csv" && i + 1 < opts.rest.size()) {
-      csv_prefix = opts.rest[++i];
-    } else if (!sgk::parse_count(opts.rest[i], max_size)) {
-      return sgk::reject_argument(opts.rest[i]);
-    }
-  }
+  sgk::FlagTable flags(opts);
+  flags.add("max_size", max_size, "largest group size in the sweep");
+  flags.add("--csv PREFIX", csv_prefix,
+            "also write PREFIX_join_<bits>.csv per key size");
+  if (const auto status = flags.parse(argc, argv)) return *status;
 
   sgk::ObsSession session(opts);
   sgk::obs::RunReport report("fig11_join_lan");

@@ -13,9 +13,6 @@
 //    STR/CKD/GDH linear with STR's slope steepest.
 //  * 1024-bit: STR most expensive, TGDH remains the leader, BD no longer
 //    worst and close to GDH for smaller groups.
-//
-// Usage: fig12_leave_lan [max_size] [--seeds k] [--csv out_prefix]
-//                        [--json out.json] [--trace out.trace.json]
 #include <iostream>
 #include <string>
 
@@ -24,24 +21,15 @@
 
 int main(int argc, char** argv) {
   sgk::BenchOptions opts;
-  std::string err;
-  if (!sgk::BenchOptions::parse(argc, argv, opts, err)) {
-    std::cerr << "error: " << err << "\n";
-    return 1;
-  }
   std::size_t max_size = 50;
   int seeds = 3;
   std::string csv_prefix;
-  for (std::size_t i = 0; i < opts.rest.size(); ++i) {
-    if (opts.rest[i] == "--csv" && i + 1 < opts.rest.size()) {
-      csv_prefix = opts.rest[++i];
-    } else if (opts.rest[i] == "--seeds" && i + 1 < opts.rest.size()) {
-      if (!sgk::parse_count(opts.rest[++i], seeds))
-        return sgk::reject_argument(opts.rest[i]);
-    } else if (!sgk::parse_count(opts.rest[i], max_size)) {
-      return sgk::reject_argument(opts.rest[i]);
-    }
-  }
+  sgk::FlagTable flags(opts);
+  flags.add("max_size", max_size, "largest group size in the sweep");
+  flags.add("--seeds N", seeds, "random leave choices averaged per size");
+  flags.add("--csv PREFIX", csv_prefix,
+            "also write PREFIX_leave_<bits>.csv per key size");
+  if (const auto status = flags.parse(argc, argv)) return *status;
 
   sgk::ObsSession session(opts);
   sgk::obs::RunReport report("fig12_leave_lan");

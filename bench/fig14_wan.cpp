@@ -12,9 +12,6 @@
 //
 // The paper's footnote 9 promised 1024-bit WAN results "in the final
 // submission"; pass --dh1024 to produce them here.
-//
-// Usage: fig14_wan [max_size] [--csv out_prefix] [--topology] [--dh1024]
-//                  [--json out.json] [--trace out.trace.json]
 #include <iostream>
 #include <string>
 
@@ -38,26 +35,17 @@ void print_topology(const sgk::Topology& topo) {
 
 int main(int argc, char** argv) {
   sgk::BenchOptions opts;
-  std::string err;
-  if (!sgk::BenchOptions::parse(argc, argv, opts, err)) {
-    std::cerr << "error: " << err << "\n";
-    return 1;
-  }
   std::size_t max_size = 50;
   std::string csv_prefix;
   bool topology_only = false;
   bool dh1024 = false;
-  for (std::size_t i = 0; i < opts.rest.size(); ++i) {
-    if (opts.rest[i] == "--csv" && i + 1 < opts.rest.size()) {
-      csv_prefix = opts.rest[++i];
-    } else if (opts.rest[i] == "--topology") {
-      topology_only = true;
-    } else if (opts.rest[i] == "--dh1024") {
-      dh1024 = true;
-    } else if (!sgk::parse_count(opts.rest[i], max_size)) {
-      return sgk::reject_argument(opts.rest[i]);
-    }
-  }
+  sgk::FlagTable flags(opts);
+  flags.add("max_size", max_size, "largest group size in the sweeps");
+  flags.add("--csv PREFIX", csv_prefix,
+            "also write PREFIX_join.csv and PREFIX_leave.csv");
+  flags.add("--topology", topology_only, "print the WAN testbed and exit");
+  flags.add("--dh1024", dh1024, "use DH-1024 instead of DH-512");
+  if (const auto status = flags.parse(argc, argv)) return *status;
 
   sgk::Topology topo = sgk::wan_testbed();
   print_topology(topo);

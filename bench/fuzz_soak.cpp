@@ -17,10 +17,6 @@
 // seeds run unsigned with the detectable-only menu (strict validation alone
 // must hold the line). Each failing run prints a one-line repro command that
 // replays the identical schedule bit-for-bit.
-//
-// Usage: fuzz_soak [--protocol all|gdh|ckd|tgdh|str|bd] [--seeds N]
-//                  [--rates R1,R2,...] [--group-size N] [--events N]
-//                  [--seed BASE] [--json out.json] [--trace out.trace.json]
 #include <cstdint>
 #include <iomanip>
 #include <iostream>
@@ -32,69 +28,27 @@
 #include "harness/fuzz.h"
 #include "obs/metrics.h"
 
-namespace {
-
 using sgk::ProtocolKind;
-
-std::vector<double> parse_rates(const std::string& csv) {
-  std::vector<double> rates;
-  std::stringstream ss(csv);
-  std::string item;
-  while (std::getline(ss, item, ',')) rates.push_back(std::stod(item));
-  return rates;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   sgk::BenchOptions opts;
-  std::string err;
-  if (!sgk::BenchOptions::parse(argc, argv, opts, err)) {
-    std::cerr << "error: " << err << "\n";
-    return 2;
-  }
-
   std::vector<ProtocolKind> protocols;
   sgk::parse_protocols("all", protocols);
   int seeds = 32;
   std::vector<double> rates = {0.02, 0.05};
   std::size_t group_size = 8;
   int events = 6;
-  try {
-    for (std::size_t i = 0; i < opts.rest.size(); ++i) {
-      std::string value;
-      if (sgk::take_flag(opts.rest, i, "--protocol", value)) {
-        if (!sgk::parse_protocols(value, protocols)) {
-          std::cerr << "error: unknown protocol '" << value << "'\n";
-          return 2;
-        }
-      } else if (sgk::take_flag(opts.rest, i, "--seeds", value)) {
-        seeds = std::stoi(value);
-      } else if (sgk::take_flag(opts.rest, i, "--rates", value)) {
-        rates = parse_rates(value);
-      } else if (sgk::take_flag(opts.rest, i, "--group-size", value)) {
-        group_size = std::stoul(value);
-      } else if (sgk::take_flag(opts.rest, i, "--events", value)) {
-        events = std::stoi(value);
-      } else {
-        std::cerr << "error: unknown argument '" << opts.rest[i] << "'\n";
-        return 2;
-      }
-    }
-  } catch (const std::exception& e) {
-    std::cerr << "error: " << e.what() << "\n";
-    return 2;
-  }
-  if (seeds < 1 || events < 0 || group_size < 2 || rates.empty()) {
-    std::cerr << "error: need --seeds >= 1, --events >= 0, --group-size >= 2, "
-                 "non-empty --rates\n";
-    return 2;
-  }
-  for (double r : rates)
-    if (r <= 0.0 || r > 1.0) {
-      std::cerr << "error: every rate must be in (0,1]\n";
-      return 2;
-    }
+  sgk::FlagTable flags(opts);
+  flags.add("--protocol P", protocols, "all, or one of gdh|ckd|tgdh|str|bd");
+  flags.add("--seeds N", seeds, "runs per protocol and rate",
+            sgk::at_least(1));
+  flags.add("--rates R,...", rates, "frame mutation rates to sweep",
+            sgk::above(0, 1));
+  flags.add("--group-size N", group_size, "initial members",
+            sgk::at_least(2));
+  flags.add("--events N", events, "membership faults per run",
+            sgk::at_least(0));
+  if (const auto status = flags.parse(argc, argv)) return *status;
 
   sgk::ObsSession session(opts);
   sgk::obs::RunReport report("fuzz_soak");

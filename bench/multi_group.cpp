@@ -15,12 +15,6 @@
 // 1,2,4,8) over the same scenario and verifies that every run's canonical
 // JSON is byte-identical to the first — the determinism regression runs
 // inside the bench itself on every invocation.
-//
-// Usage: multi_group [--groups N] [--members N] [--events N] [--window MS]
-//                    [--fault-rate R] [--protocol all|gdh|ckd|tgdh|str|bd]
-//                    [--scale 1,2,4,8] [--per-group] [--threads N]
-//                    [--seed BASE] [--json out.json] [--trace out.trace.json]
-//                    [--wallclock]
 #include <cstdint>
 #include <iomanip>
 #include <iostream>
@@ -36,12 +30,6 @@ using sgk::ProtocolKind;
 
 int main(int argc, char** argv) {
   sgk::BenchOptions opts;
-  std::string err;
-  if (!sgk::BenchOptions::parse(argc, argv, opts, err)) {
-    std::cerr << "error: " << err << "\n";
-    return 2;
-  }
-
   std::size_t groups = 1000;
   std::size_t members = 4;
   int events = 2;
@@ -51,48 +39,23 @@ int main(int argc, char** argv) {
   std::vector<ProtocolKind> protocols;
   sgk::parse_protocols("all", protocols);
   std::vector<int> scale = {1, 2, 4, 8};
-  bool scale_set = false;
-  try {
-    for (std::size_t i = 0; i < opts.rest.size(); ++i) {
-      std::string value;
-      if (sgk::take_flag(opts.rest, i, "--groups", value)) {
-        groups = std::stoul(value);
-      } else if (sgk::take_flag(opts.rest, i, "--members", value)) {
-        members = std::stoul(value);
-      } else if (sgk::take_flag(opts.rest, i, "--events", value)) {
-        events = std::stoi(value);
-      } else if (sgk::take_flag(opts.rest, i, "--window", value)) {
-        window_ms = std::stod(value);
-      } else if (sgk::take_flag(opts.rest, i, "--fault-rate", value)) {
-        fault_rate = std::stod(value);
-      } else if (sgk::take_flag(opts.rest, i, "--protocol", value)) {
-        if (!sgk::parse_protocols(value, protocols)) {
-          std::cerr << "error: unknown protocol '" << value << "'\n";
-          return 2;
-        }
-      } else if (sgk::take_flag(opts.rest, i, "--scale", value)) {
-        scale = sgk::parse_scale(value);
-        scale_set = true;
-      } else if (opts.rest[i] == "--per-group") {
-        per_group = true;
-      } else {
-        std::cerr << "error: unknown argument '" << opts.rest[i] << "'\n";
-        return 2;
-      }
-    }
-  } catch (const std::exception& e) {
-    std::cerr << "error: " << e.what() << "\n";
-    return 2;
-  }
-  if (groups < 1 || members < 2 || events < 0 || window_ms <= 0.0 ||
-      fault_rate < 0.0 || fault_rate > 1.0) {
-    std::cerr << "error: need --groups >= 1, --members >= 2, --events >= 0, "
-                 "--window > 0, --fault-rate in [0,1]\n";
-    return 2;
-  }
+  sgk::FlagTable flags(opts);
+  flags.add("--groups N", groups, "groups hosted", sgk::at_least(1));
+  flags.add("--members N", members, "members per group", sgk::at_least(2));
+  flags.add("--events N", events, "churn events per group", sgk::at_least(0));
+  flags.add("--window MS", window_ms, "virtual epoch window", sgk::above(0));
+  flags.add("--fault-rate R", fault_rate, "wire-fault rate in every group",
+            sgk::at_least(0, 1));
+  flags.add("--protocol P", protocols,
+            "all (round-robin mix), or one of gdh|ckd|tgdh|str|bd");
+  flags.add("--scale N,...", scale,
+            "thread counts to sweep and byte-compare", sgk::at_least(1));
+  flags.add("--per-group", per_group, "add per-group rows to the report");
+  if (const auto status = flags.parse(argc, argv)) return *status;
   // --threads pins one count; otherwise the scale list is swept and every
   // run's canonical JSON must match the first byte-for-byte.
-  if (opts.threads_set && !scale_set) scale = {opts.threads};
+  if (flags.given("--threads") && !flags.given("--scale"))
+    scale = {opts.threads};
 
   sgk::ObsSession session(opts);
   sgk::obs::RunReport report("multi_group");

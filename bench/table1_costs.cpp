@@ -11,9 +11,6 @@
 //
 // Counting convention: key-confirmation recomputation is disabled, matching
 // the optimization the paper applies when counting exponentiations (sec. 5).
-//
-// Usage: table1_costs [n] [m] [l] [--json out.json] [--trace out.trace.json]
-//        (defaults n=16, m=4, l=4)
 #include <cmath>
 #include <iomanip>
 #include <iostream>
@@ -124,16 +121,12 @@ Experiment make_experiment(ProtocolKind kind, std::size_t machines) {
 int main(int argc, char** argv) {
   using namespace sgk;
   BenchOptions opts;
-  std::string opt_err;
-  if (!BenchOptions::parse(argc, argv, opts, opt_err)) {
-    std::cerr << "error: " << opt_err << "\n";
-    return 1;
-  }
   std::size_t n = 16, m = 4, l = 4;
-  std::size_t* const positional[] = {&n, &m, &l};
-  for (std::size_t i = 0; i < opts.rest.size(); ++i)
-    if (i >= 3 || !parse_count(opts.rest[i], *positional[i]))
-      return reject_argument(opts.rest[i]);
+  FlagTable flags(opts);
+  flags.add("n", n, "current members");
+  flags.add("m", m, "members merging in");
+  flags.add("l", l, "members leaving at once");
+  if (const auto status = flags.parse(argc, argv)) return *status;
   Formulas f{n, m, l};
   ObsSession session(opts);
   const std::string N = std::to_string(n);

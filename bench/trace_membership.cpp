@@ -4,11 +4,6 @@
 // one root span per membership event on the "membership events" track and
 // per-machine compute/instant tracks below it (see docs/observability.md).
 //
-// Usage: trace_membership [protocol] [n] [--json out.json]
-//                         [--trace out.trace.json] [--wallclock]
-//        protocol: GDH | CKD | TGDH | TGDH-bal | STR | BD   (default TGDH)
-//        n: group size after the join                       (default 16)
-//
 // With --wallclock the trace gains a second track (pid 1, "wall clock
 // (host)") carrying the calibrated host-ns spans of the same run, so the
 // virtual and real timelines sit side by side in Perfetto.
@@ -17,40 +12,14 @@
 
 #include "harness/bench_io.h"
 
-namespace {
-
-bool parse_protocol(const std::string& name, sgk::ProtocolKind& out) {
-  for (sgk::ProtocolKind kind :
-       {sgk::ProtocolKind::kGdh, sgk::ProtocolKind::kCkd,
-        sgk::ProtocolKind::kTgdh, sgk::ProtocolKind::kTgdhBalanced,
-        sgk::ProtocolKind::kStr, sgk::ProtocolKind::kBd}) {
-    if (name == sgk::to_string(kind)) {
-      out = kind;
-      return true;
-    }
-  }
-  return false;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   sgk::BenchOptions opts;
-  std::string err;
-  if (!sgk::BenchOptions::parse(argc, argv, opts, err)) {
-    std::cerr << "error: " << err << "\n";
-    return 1;
-  }
   sgk::ProtocolKind kind = sgk::ProtocolKind::kTgdh;
   std::size_t n = 16;
-  for (const std::string& arg : opts.rest) {
-    if (parse_protocol(arg, kind)) continue;
-    if (!sgk::parse_count(arg, n)) return sgk::reject_argument(arg);
-  }
-  if (n < 2) {
-    std::cerr << "error: n must be at least 2\n";
-    return 1;
-  }
+  sgk::FlagTable flags(opts);
+  flags.add("protocol", kind, "gdh, ckd, tgdh, tgdh-bal, str or bd");
+  flags.add("n", n, "group size after the join", sgk::at_least(2));
+  if (const auto status = flags.parse(argc, argv)) return *status;
 
   sgk::ObsSession session(opts);
   sgk::ExperimentConfig ec;

@@ -3,88 +3,240 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdio>
+#include <filesystem>
 #include <map>
 #include <sstream>
-#include <stdexcept>
+#include <type_traits>
 #include <utility>
+
+#include "util/check.h"
+#include "util/parse_number.h"
 
 namespace sgk {
 
-bool BenchOptions::parse(int argc, char** argv, BenchOptions& out,
-                         std::string& error) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string orig = argv[i];
-    std::string arg = orig;
-    std::string value;
-    bool has_value = false;
-    if (const std::size_t eq = arg.find('=');
-        arg.rfind("--", 0) == 0 && eq != std::string::npos) {
-      value = arg.substr(eq + 1);
-      arg = arg.substr(0, eq);
-      has_value = true;
-    }
-    if (arg == "--wallclock") {
-      if (has_value) {
-        error = "--wallclock takes no argument";
-        return false;
-      }
-      out.wallclock = true;
-      continue;
-    }
-    if (arg != "--json" && arg != "--trace" && arg != "--seed" &&
-        arg != "--threads") {
-      out.rest.push_back(orig);
-      continue;
-    }
-    if (!has_value) {
-      if (i + 1 >= argc) {
-        error = arg + " requires an argument";
-        return false;
-      }
-      value = argv[++i];
-    }
-    if (arg == "--json") {
-      out.json_path = value;
-    } else if (arg == "--trace") {
-      out.trace_path = value;
-    } else if (arg == "--threads") {
-      try {
-        out.threads = std::stoi(value);
-      } catch (const std::exception&) {
-        out.threads = 0;
-      }
-      if (out.threads < 1) {
-        error = "--threads requires a positive integer, got '" + value + "'";
-        return false;
-      }
-      out.threads_set = true;
-    } else {
-      try {
-        out.seed = std::stoull(value);
-      } catch (const std::exception&) {
-        error = "--seed requires an unsigned integer, got '" + value + "'";
-        return false;
-      }
-      out.seed_set = true;
-    }
-  }
-  return true;
+namespace {
+
+/// The flag name of a spec: "--csv" of "--csv PREFIX".
+std::string_view name_of(std::string_view spec) {
+  return spec.substr(0, spec.find(' '));
 }
 
-bool take_flag(const std::vector<std::string>& rest, std::size_t& i,
-               const std::string& flag, std::string& value) {
-  const std::string& arg = rest[i];
-  if (arg == flag) {
-    if (i + 1 >= rest.size())
-      throw std::runtime_error(flag + " requires an argument");
-    value = rest[++i];
-    return true;
+bool is_named(std::string_view spec) { return spec.rfind("--", 0) == 0; }
+
+/// ">= 1", "> 0", "in [0, 1]", "in (0, 1]"; "" for an unbounded range.
+std::string describe(const Range& range) {
+  std::ostringstream out;
+  if (range.hi != kUnbounded)
+    out << "in " << (range.lo_open ? "(" : "[") << range.lo << ", "
+        << range.hi << "]";
+  else if (range.lo != -kUnbounded)
+    out << (range.lo_open ? "> " : ">= ") << range.lo;
+  return out.str();
+}
+
+// parse_value overloads: one per target kind, each returning "" or why the
+// value was refused. Numbers must parse whole and fall in `range`.
+
+template <typename Number>
+std::string parse_value(const std::string& text, Number& out,
+                        const Range& range) {
+  if (!parse_number(text, out)) {
+    if constexpr (std::is_floating_point_v<Number>)
+      return "not a finite number";
+    if constexpr (std::is_unsigned_v<Number>)
+      return "not a non-negative integer";
+    return "not an integer";
   }
-  if (arg.rfind(flag + "=", 0) == 0) {
-    value = arg.substr(flag.size() + 1);
-    return true;
+  const auto v = static_cast<double>(out);
+  if (v < range.lo || (range.lo_open && v == range.lo) || v > range.hi)
+    return "must be " + describe(range) + ", got";
+  return "";
+}
+
+std::string parse_value(const std::string& text, bool& out, const Range&) {
+  out = true;
+  return text.empty() ? "" : "takes no value";
+}
+
+std::string parse_value(const std::string& text, std::string& out,
+                        const Range&) {
+  out = text;
+  return "";
+}
+
+std::string parse_value(const std::string& text,
+                        std::vector<ProtocolKind>& out, const Range&) {
+  return parse_protocols(text, out) ? "" : "unknown protocol";
+}
+
+std::string parse_value(const std::string& text, ProtocolKind& out,
+                        const Range& range) {
+  std::vector<ProtocolKind> kinds;
+  if (std::string why = parse_value(text, kinds, range); !why.empty())
+    return why;
+  out = kinds.front();
+  return kinds.size() == 1 ? "" : "must name one protocol, got";
+}
+
+template <typename Number>
+std::string parse_value(const std::string& text, std::vector<Number>& out,
+                        const Range& range) {
+  out.assign(1 + std::count(text.begin(), text.end(), ','), Number{});
+  std::size_t begin = 0;
+  for (Number& item : out) {
+    const std::size_t comma = text.find(',', begin);
+    if (std::string why =
+            parse_value(text.substr(begin, comma - begin), item, range);
+        !why.empty())
+      return why;
+    begin = comma + 1;
   }
-  return false;
+  return "";
+}
+
+// show overloads: a target's value as --help prints its default.
+
+std::string show(bool) { return ""; }
+std::string show(const std::string& value) { return value; }
+std::string show(ProtocolKind kind) { return to_string(kind); }
+
+/// parse_protocols yields one protocol or the paper's five ("all").
+std::string show(const std::vector<ProtocolKind>& kinds) {
+  return kinds.size() == 1 ? lower_name(kinds.front()) : "all";
+}
+
+template <typename Number>
+std::string show(const Number& value) {
+  std::ostringstream out;
+  out << value;
+  return out.str();
+}
+
+template <typename Number>
+std::string show(const std::vector<Number>& values) {
+  std::string out;
+  for (const Number& value : values)
+    out += (out.empty() ? "" : ",") + show(value);
+  return out;
+}
+
+}  // namespace
+
+FlagTable::FlagTable(BenchOptions& opts) {
+  add("--json PATH", opts.json_path, "write the run's RunReport as JSON");
+  add("--trace PATH", opts.trace_path, "write a Chrome trace_event file");
+  add("--seed N", opts.seed, "base seed for the bench's randomized choices");
+  add("--wallclock", opts.wallclock, "also profile host wall-clock ns/op");
+  add("--threads N", opts.threads, "worker threads, where the bench has them",
+      at_least(1));
+  add("--help", help_, "print this help and exit");
+  shared_flags_ = flags_.size();
+}
+
+void FlagTable::add(std::string_view spec, FlagTarget target, std::string help,
+                    Range range) {
+  SGK_CHECK(find(name_of(spec)) == nullptr);
+  Flag flag{std::string(spec), std::move(help),
+            std::visit([](auto t) { return show(t.get()); }, target), target,
+            range};
+  std::string notes = flag.value.empty() ? "" : "default " + flag.value;
+  if (const std::string bounds = describe(range); !bounds.empty())
+    notes += (notes.empty() ? "" : ", ") + bounds;
+  if (!notes.empty()) flag.help += " (" + notes + ")";
+  // Keep the usage order: positional slots, the bench's own flags, then the
+  // shared ones, each in declaration order.
+  const auto at =
+      is_named(spec)
+          ? flags_.end() - static_cast<std::ptrdiff_t>(shared_flags_)
+          : std::find_if(flags_.begin(), flags_.end(),
+                         [](const Flag& f) { return is_named(f.spec); });
+  flags_.insert(at, std::move(flag));
+}
+
+FlagTable::Flag* FlagTable::find(std::string_view name) {
+  for (Flag& flag : flags_)
+    if (name_of(flag.spec) == name) return &flag;
+  return nullptr;
+}
+
+const FlagTable::Flag& FlagTable::declared(std::string_view name) const {
+  const auto it =
+      std::find_if(flags_.begin(), flags_.end(),
+                   [&](const Flag& f) { return name_of(f.spec) == name; });
+  SGK_CHECK(it != flags_.end());
+  return *it;
+}
+
+bool FlagTable::given(std::string_view name) const {
+  return declared(name).given;
+}
+
+std::optional<int> FlagTable::parse(int argc, const char* const* argv) {
+  if (argc > 0) program_ = std::filesystem::path(argv[0]).filename().string();
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    const bool named = is_named(arg);
+    const std::size_t eq = named ? arg.find('=') : std::string::npos;
+    Flag* flag = nullptr;
+    if (named) {
+      flag = find(std::string_view(arg).substr(0, eq));
+    } else {
+      for (Flag& slot : flags_)
+        if (!is_named(slot.spec) && !slot.given) {
+          flag = &slot;
+          break;
+        }
+    }
+    if (flag == nullptr) return usage_error("unknown argument '" + arg + "'");
+
+    const std::string name(name_of(flag->spec));
+    std::string value;
+    if (!named) {
+      value = arg;
+    } else if (eq != std::string::npos) {
+      value = arg.substr(eq + 1);
+    } else if (!std::holds_alternative<std::reference_wrapper<bool>>(
+                   flag->target)) {
+      if (i + 1 >= argc) return usage_error(name + ": missing value");
+      value = argv[++i];
+    }
+    const std::string why = std::visit(
+        [&](auto target) {
+          return parse_value(value, target.get(), flag->range);
+        },
+        flag->target);
+    if (!why.empty())
+      return usage_error(name + ": " + why + " '" + value + "'");
+    flag->given = true;
+    flag->value = value;
+
+    if (help_) {
+      std::printf("%s\n\n", synopsis().c_str());
+      for (const Flag& f : flags_) {
+        std::string line = f.spec;
+        line.resize(std::max<std::size_t>(line.size() + 2, 20), ' ');
+        std::printf("  %s%s\n", line.c_str(), f.help.c_str());
+      }
+      return 0;
+    }
+  }
+  return std::nullopt;
+}
+
+std::string FlagTable::synopsis() const {
+  std::string out = "usage: " + program_;
+  for (const Flag& flag : flags_) out += " [" + flag.spec + "]";
+  return out;
+}
+
+int FlagTable::fail(std::string_view name, const std::string& why) const {
+  const Flag& flag = declared(name);
+  return usage_error(std::string(name) + ": " + why + " '" + flag.value + "'");
+}
+
+int FlagTable::usage_error(const std::string& message) const {
+  std::fprintf(stderr, "error: %s\n%s\n", message.c_str(), synopsis().c_str());
+  return 2;
 }
 
 bool parse_protocols(const std::string& name, std::vector<ProtocolKind>& out) {
@@ -104,24 +256,6 @@ bool parse_protocols(const std::string& name, std::vector<ProtocolKind>& out) {
   if (it == kByName.end()) return false;
   out = {it->second};
   return true;
-}
-
-std::vector<int> parse_scale(const std::string& list) {
-  std::vector<int> out;
-  std::stringstream ss(list);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    const int t = std::stoi(item);
-    if (t < 1) throw std::runtime_error("--scale entries must be >= 1");
-    out.push_back(t);
-  }
-  if (out.empty()) throw std::runtime_error("--scale requires a list");
-  return out;
-}
-
-int reject_argument(const std::string& arg) {
-  std::fprintf(stderr, "error: unknown argument '%s'\n", arg.c_str());
-  return 2;
 }
 
 double quantile(std::vector<double> v, double q) {

@@ -1,14 +1,18 @@
 // Shared command-line handling and observability plumbing for the bench
-// binaries: every bench gains `--json <path>` (schema-versioned BENCH_*.json
-// RunReport) and `--trace <path>` (Chrome trace_event file for Perfetto /
-// chrome://tracing) through this header. See docs/observability.md.
+// binaries: every bench parses its command line through one FlagTable and
+// gains `--json <path>` (schema-versioned BENCH_*.json RunReport), `--trace
+// <path>` (Chrome trace_event file for Perfetto / chrome://tracing) and
+// `--help` through this header. See docs/observability.md.
 #pragma once
 
-#include <charconv>
 #include <cstdint>
+#include <functional>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <string>
-#include <system_error>
+#include <string_view>
+#include <variant>
 #include <vector>
 
 #include "harness/sweep.h"
@@ -16,9 +20,7 @@
 
 namespace sgk {
 
-/// Observability flags shared by every bench binary. Flags this parser does
-/// not recognize (and all positional arguments) pass through in `rest`, in
-/// their original order, so each bench keeps its own argument handling.
+/// Flags shared by every bench binary, declared on every FlagTable.
 struct BenchOptions {
   std::string json_path;   // --json <path>
   std::string trace_path;  // --trace <path>
@@ -26,7 +28,6 @@ struct BenchOptions {
   /// the RunReport ("seed" section) so a BENCH_*.json names the run it came
   /// from and any result can be reproduced from the file alone.
   std::uint64_t seed = 1;
-  bool seed_set = false;   // --seed was given explicitly
   /// --wallclock: also profile real host-clock ns/op at the instrumented
   /// sites (see obs/wallclock.h). Off by default; without it no host clock
   /// is read and all output stays byte-identical to a flagless run.
@@ -38,45 +39,95 @@ struct BenchOptions {
   /// deterministic section: the same scenario at any thread count must
   /// produce byte-identical v1 report bytes.
   int threads = 1;
-  bool threads_set = false;  // --threads was given explicitly
-  std::vector<std::string> rest;
 
   bool observing() const { return !json_path.empty() || !trace_path.empty(); }
-
-  /// Parses argv (argv[0] is skipped). Recognized flags accept both
-  /// `--flag value` and `--flag=value`. Returns false and fills `error` when
-  /// a recognized flag is missing or has a malformed argument.
-  static bool parse(int argc, char** argv, BenchOptions& out,
-                    std::string& error);
 };
 
-// ---- bench-specific argument helpers (the flags in BenchOptions::rest) ----
+inline constexpr double kUnbounded = std::numeric_limits<double>::infinity();
 
-/// Matches `--flag value` and `--flag=value` at rest[i]; advances `i` past
-/// the value. Throws std::runtime_error when `--flag` has no value.
-bool take_flag(const std::vector<std::string>& rest, std::size_t& i,
-               const std::string& flag, std::string& value);
+/// Accepted values of a numeric flag, or of each entry of a list flag:
+/// at least `lo` (above it when `lo_open`) and at most `hi`.
+struct Range {
+  double lo = -kUnbounded;
+  double hi = kUnbounded;
+  bool lo_open = false;
+};
+/// [lo, hi]
+inline Range at_least(double lo, double hi = kUnbounded) { return {lo, hi}; }
+/// (lo, hi]
+inline Range above(double lo, double hi = kUnbounded) { return {lo, hi, true}; }
+
+/// What a flag parses into, bound by reference. (unsigned long and unsigned
+/// long long cover std::size_t and std::uint64_t on any platform.)
+using FlagTarget = std::variant<
+    std::reference_wrapper<bool>, std::reference_wrapper<int>,
+    std::reference_wrapper<unsigned long>,
+    std::reference_wrapper<unsigned long long>,
+    std::reference_wrapper<double>, std::reference_wrapper<std::string>,
+    std::reference_wrapper<ProtocolKind>,
+    std::reference_wrapper<std::vector<ProtocolKind>>,
+    std::reference_wrapper<std::vector<int>>,
+    std::reference_wrapper<std::vector<double>>>;
+
+/// The declarative command line of a bench binary: each flag is declared
+/// once with its name, target, range and one-line help, and the target's
+/// value at declaration is its default. The constructor declares the
+/// BenchOptions flags and --help.
+///
+/// A name starting with "--" is a flag, given as `--flag value` or
+/// `--flag=value`; any other name is the next positional slot. A metavar for
+/// the usage text may follow the name after a space ("--csv PREFIX"). Numbers
+/// must parse whole (util/parse_number.h) and fall in the range; bool targets
+/// are toggles and refuse a value; `std::vector` targets take a
+/// comma-separated list; a `ProtocolKind` list takes "all" or one protocol
+/// name, case-insensitive.
+class FlagTable {
+ public:
+  explicit FlagTable(BenchOptions& opts);
+  // The --help flag binds a member, so a copy would parse into the original.
+  FlagTable(const FlagTable&) = delete;
+  FlagTable& operator=(const FlagTable&) = delete;
+
+  void add(std::string_view spec, FlagTarget target, std::string help,
+           Range range = {});
+
+  /// Parses argv. Returns nothing when the bench should run; otherwise the
+  /// status for `main` to return: 0 after --help (usage on stdout), 2 after a
+  /// usage error (`error: <flag>: <why> '<value>'` and the synopsis on
+  /// stderr).
+  std::optional<int> parse(int argc, const char* const* argv);
+
+  /// Whether the flag or positional slot `name` appeared on the command line.
+  bool given(std::string_view name) const;
+
+  /// Reports a usage error that spans two flags, in parse()'s format with
+  /// the value of flag `name`, and returns 2 for `main` to return.
+  int fail(std::string_view name, const std::string& why) const;
+
+ private:
+  struct Flag {
+    std::string spec;   // name and metavar, e.g. "--csv PREFIX"
+    std::string help;   // with the default and range appended
+    std::string value;  // as given on the command line, else the default
+    FlagTarget target;
+    Range range;
+    bool given = false;
+  };
+
+  Flag* find(std::string_view name);
+  const Flag& declared(std::string_view name) const;
+  std::string synopsis() const;
+  int usage_error(const std::string& message) const;
+
+  std::vector<Flag> flags_;
+  std::size_t shared_flags_ = 0;  // the constructor's, kept last in flags_
+  std::string program_ = "bench";
+  bool help_ = false;
+};
 
 /// `--protocol` values: "all" (the paper's five protocols) or one protocol
 /// name, case-insensitive. Returns false for an unknown name.
 bool parse_protocols(const std::string& name, std::vector<ProtocolKind>& out);
-
-/// `--scale` values: a comma-separated list of thread counts. Throws
-/// std::runtime_error on an empty list or an entry below 1.
-std::vector<int> parse_scale(const std::string& list);
-
-/// Parses `text` as a whole decimal number; false on anything else (empty,
-/// trailing characters, out of range), so a typo never becomes a size.
-template <typename Int>
-bool parse_count(const std::string& text, Int& out) {
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
-  return ec == std::errc() && ptr == end;
-}
-
-/// Prints `error: unknown argument '<arg>'` and returns the usage-error exit
-/// status (2) for `main` to return.
-int reject_argument(const std::string& arg);
 
 /// Quantile of a sample with linear interpolation between order statistics
 /// (the convention docs/observability.md documents); 0 for an empty sample.

@@ -1,7 +1,11 @@
 // Tests of the experiment harness and sweeps (the machinery behind the
-#include <fstream>
-#include <sstream>
 // figure benches).
+#include <fstream>
+#include <optional>
+#include <sstream>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "harness/bench_io.h"
@@ -176,24 +180,149 @@ TEST(Report, CsvWriteErrorNamesPath) {
   EXPECT_NE(error.find(path), std::string::npos) << error;
 }
 
-TEST(BenchIo, ParsesObservabilityFlagsAndPassesRestThrough) {
-  const char* argv[] = {"bench", "12", "--json", "out.json",
-                        "--csv",  "p",  "--trace", "t.json"};
+/// A bench command line with one flag of every kind the FlagTable handles.
+struct FlagBench {
   BenchOptions opts;
-  std::string error;
-  ASSERT_TRUE(BenchOptions::parse(8, const_cast<char**>(argv), opts, error));
-  EXPECT_EQ(opts.json_path, "out.json");
-  EXPECT_EQ(opts.trace_path, "t.json");
-  EXPECT_TRUE(opts.observing());
-  ASSERT_EQ(opts.rest.size(), 3u);
-  EXPECT_EQ(opts.rest[0], "12");
-  EXPECT_EQ(opts.rest[1], "--csv");
-  EXPECT_EQ(opts.rest[2], "p");
+  ProtocolKind kind = ProtocolKind::kTgdh;
+  std::size_t n = 16;
+  std::vector<ProtocolKind> protocols = {ProtocolKind::kGdh};
+  std::vector<int> scale = {1, 2};
+  std::vector<double> rates = {0.02};
+  double rate = 0.1;
+  int seeds = 16;
+  std::string csv;
+  bool per_group = false;
+  FlagTable flags{opts};
+  std::string out, err;  // captured stdout / stderr of the last parse
 
-  const char* bad[] = {"bench", "--json"};
-  BenchOptions opts2;
-  EXPECT_FALSE(BenchOptions::parse(2, const_cast<char**>(bad), opts2, error));
-  EXPECT_NE(error.find("--json"), std::string::npos);
+  FlagBench() {
+    flags.add("protocol", kind, "protocol to trace");
+    flags.add("n", n, "group size", at_least(2));
+    flags.add("--protocol P", protocols, "all, or one protocol");
+    flags.add("--scale N,...", scale, "thread counts", at_least(1));
+    flags.add("--rates R,...", rates, "mutation rates", above(0, 1));
+    flags.add("--rate R", rate, "fault rate", at_least(0, 1));
+    flags.add("--seeds N", seeds, "runs per protocol", at_least(1));
+    flags.add("--csv PREFIX", csv, "csv prefix");
+    flags.add("--per-group", per_group, "per-group rows");
+  }
+  FlagBench(const FlagBench&) = delete;
+  FlagBench& operator=(const FlagBench&) = delete;
+
+  std::optional<int> parse(std::vector<const char*> args) {
+    args.insert(args.begin(), "/path/to/bench");
+    testing::internal::CaptureStdout();
+    testing::internal::CaptureStderr();
+    const std::optional<int> status =
+        flags.parse(static_cast<int>(args.size()), args.data());
+    out = testing::internal::GetCapturedStdout();
+    err = testing::internal::GetCapturedStderr();
+    return status;
+  }
+};
+
+TEST(BenchIo, FlagTableParsesBothValueFormsAndPositionalSlots) {
+  FlagBench b;
+  EXPECT_EQ(b.parse({"tgdh-bal", "12", "--json", "out.json", "--csv=p",
+                     "--trace", "t.json", "--seed=7", "--wallclock",
+                     "--protocol=STR", "--scale", "1,4", "--rates=0.05,1",
+                     "--rate", "0", "--per-group"}),
+            std::nullopt);
+  EXPECT_EQ(b.err, "");
+  EXPECT_EQ(b.opts.json_path, "out.json");
+  EXPECT_EQ(b.opts.trace_path, "t.json");
+  EXPECT_TRUE(b.opts.observing());
+  EXPECT_EQ(b.opts.seed, 7u);
+  EXPECT_TRUE(b.opts.wallclock);
+  EXPECT_EQ(b.opts.threads, 1);
+  EXPECT_EQ(b.kind, ProtocolKind::kTgdhBalanced);
+  EXPECT_EQ(b.n, 12u);
+  EXPECT_EQ(b.csv, "p");
+  EXPECT_EQ(b.protocols, std::vector<ProtocolKind>{ProtocolKind::kStr});
+  EXPECT_EQ(b.scale, (std::vector<int>{1, 4}));
+  EXPECT_EQ(b.rates, (std::vector<double>{0.05, 1.0}));
+  EXPECT_EQ(b.rate, 0.0);
+  EXPECT_TRUE(b.per_group);
+  EXPECT_EQ(b.seeds, 16);
+
+  EXPECT_TRUE(b.flags.given("--seed"));
+  EXPECT_TRUE(b.flags.given("n"));
+  EXPECT_TRUE(b.flags.given("--scale"));
+  EXPECT_FALSE(b.flags.given("--threads"));
+  EXPECT_FALSE(b.flags.given("--seeds"));
+}
+
+TEST(BenchIo, FlagTableRejectsEveryMalformedValueWithExitTwo) {
+  const std::vector<std::pair<std::vector<const char*>, std::string>> cases = {
+      {{"--seed", "1x"}, "--seed: not a non-negative integer '1x'"},
+      {{"--seed=-1"}, "--seed: not a non-negative integer '-1'"},
+      {{"--threads", "2x"}, "--threads: not an integer '2x'"},
+      {{"--threads", "0"}, "--threads: must be >= 1, got '0'"},
+      {{"--seeds=0"}, "--seeds: must be >= 1, got '0'"},
+      {{"--rate", "nan"}, "--rate: not a finite number 'nan'"},
+      {{"--rate=inf"}, "--rate: not a finite number 'inf'"},
+      {{"--rate", "0.1x"}, "--rate: not a finite number '0.1x'"},
+      {{"--rate", "1.5"}, "--rate: must be in [0, 1], got '1.5'"},
+      {{"--rates", "0.05,0"}, "--rates: must be in (0, 1], got '0.05,0'"},
+      {{"--rates", "0.05x"}, "--rates: not a finite number '0.05x'"},
+      {{"--scale="}, "--scale: not an integer ''"},
+      {{"--protocol", "nope"}, "--protocol: unknown protocol 'nope'"},
+      {{"all"}, "protocol: must name one protocol, got 'all'"},
+      {{"TGDH", "1"}, "n: must be >= 2, got '1'"},
+      {{"TGDH", "8x"}, "n: not a non-negative integer '8x'"},
+      {{"TGDH", "8", "9"}, "unknown argument '9'"},
+      {{"TGDH", "3", "--csv"}, "--csv: missing value"},
+      {{"--json"}, "--json: missing value"},
+      {{"--wallclock=yes"}, "--wallclock: takes no value 'yes'"},
+      {{"--bogus-flag"}, "unknown argument '--bogus-flag'"},
+      {{"-x"}, "protocol: unknown protocol '-x'"},
+  };
+  for (const auto& [args, message] : cases) {
+    FlagBench b;
+    EXPECT_EQ(b.parse(args), 2) << message;
+    EXPECT_EQ(b.err.substr(0, b.err.find('\n')), "error: " + message);
+    EXPECT_NE(b.err.find("\nusage: bench [protocol] [n] [--protocol P]"),
+              std::string::npos)
+        << b.err;
+    EXPECT_EQ(b.out, "");
+  }
+}
+
+TEST(BenchIo, FlagTableHelpPrintsUsageAndExitsZero) {
+  FlagBench b;
+  EXPECT_EQ(b.parse({"--seeds", "3", "--help", "--bogus-flag"}), 0);
+  EXPECT_EQ(b.err, "");
+  EXPECT_EQ(b.out.rfind("usage: bench [protocol] [n] [--protocol P]", 0), 0u)
+      << b.out;
+  EXPECT_NE(b.out.find("  --seeds N           runs per protocol (default 16, "
+                       ">= 1)\n"),
+            std::string::npos)
+      << b.out;
+  EXPECT_NE(b.out.find("--protocol P        all, or one protocol "
+                       "(default gdh)"),
+            std::string::npos)
+      << b.out;
+  EXPECT_NE(b.out.find("--rates R,...       mutation rates (default 0.02, in "
+                       "(0, 1])"),
+            std::string::npos)
+      << b.out;
+  FlagBench toggle;
+  EXPECT_EQ(toggle.parse({"--help=1"}), 2);
+}
+
+TEST(BenchIo, FlagTableFailNamesTheFlagAndItsValue) {
+  FlagBench b;
+  ASSERT_EQ(b.parse({"--rate=0.5"}), std::nullopt);
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(b.flags.fail("--rate", "must exceed --seeds, got"), 2);
+  EXPECT_EQ(b.flags.fail("--seeds", "must be odd, got"), 2);
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(err.rfind("error: --rate: must exceed --seeds, got '0.5'\n", 0),
+            0u)
+      << err;
+  EXPECT_NE(err.find("error: --seeds: must be odd, got '16'\n"),
+            std::string::npos)
+      << err;
 }
 
 TEST(BenchIo, SweepToJsonEmitsMedianAndP95) {

@@ -52,6 +52,7 @@
 
 #include "obs/json.h"
 #include "obs/run_report.h"
+#include "util/parse_number.h"
 
 namespace {
 
@@ -189,14 +190,19 @@ int main(int argc, char** argv) {
   double abs_epsilon = 0.05;
   double wall_tolerance = 0.60;
   std::string wall_mode = "report";
+  const std::map<std::string, double*> numbers = {
+      {"--tolerance", &tolerance},
+      {"--abs-epsilon", &abs_epsilon},
+      {"--wall-tolerance", &wall_tolerance}};
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--tolerance" && i + 1 < argc) {
-      tolerance = std::stod(argv[++i]);
-    } else if (arg == "--abs-epsilon" && i + 1 < argc) {
-      abs_epsilon = std::stod(argv[++i]);
-    } else if (arg == "--wall-tolerance" && i + 1 < argc) {
-      wall_tolerance = std::stod(argv[++i]);
+    if (const auto number = numbers.find(arg);
+        number != numbers.end() && i + 1 < argc) {
+      if (!sgk::parse_number(argv[++i], *number->second)) {
+        std::fprintf(stderr, "error: %s: not a finite number '%s'\n",
+                     arg.c_str(), argv[i]);
+        return 2;
+      }
     } else if (arg == "--wall-mode" && i + 1 < argc) {
       wall_mode = argv[++i];
       if (wall_mode != "off" && wall_mode != "report" && wall_mode != "gate") {

@@ -14,6 +14,7 @@
 #include "bignum/prime.h"
 #include "crypto/drbg.h"
 #include "crypto/rsa.h"
+#include "util/parse_number.h"
 
 namespace {
 
@@ -50,18 +51,32 @@ void emit_rsa(std::size_t bits, int count, std::uint64_t seed) {
   }
 }
 
+// Parses argv[i] as a whole number; a malformed one is a usage error.
+template <typename Number>
+Number number_arg(char** argv, int i) {
+  Number out{};
+  if (!sgk::parse_number(argv[i], out)) {
+    std::cerr << "error: not a number '" << argv[i] << "'\n";
+    std::exit(2);
+  }
+  return out;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc >= 4 && std::strcmp(argv[1], "dh") == 0) {
-    std::uint64_t seed = argc > 4 ? std::stoull(argv[4]) : 20020423;
-    emit_dh(std::stoul(argv[2]), std::stoul(argv[3]), seed);
+    std::uint64_t seed =
+        argc > 4 ? number_arg<std::uint64_t>(argv, 4) : 20020423;
+    emit_dh(number_arg<std::size_t>(argv, 2), number_arg<std::size_t>(argv, 3),
+            seed);
     return 0;
   }
   if (argc >= 3 && std::strcmp(argv[1], "rsa") == 0) {
-    int count = argc > 3 ? std::stoi(argv[3]) : 1;
-    std::uint64_t seed = argc > 4 ? std::stoull(argv[4]) : 19770426;
-    emit_rsa(std::stoul(argv[2]), count, seed);
+    int count = argc > 3 ? number_arg<int>(argv, 3) : 1;
+    std::uint64_t seed =
+        argc > 4 ? number_arg<std::uint64_t>(argv, 4) : 19770426;
+    emit_rsa(number_arg<std::size_t>(argv, 2), count, seed);
     return 0;
   }
   std::cerr << "usage:\n  paramgen dh <p_bits> <q_bits> [seed]\n"
