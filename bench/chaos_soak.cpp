@@ -23,6 +23,7 @@
 #include "harness/bench_io.h"
 #include "harness/chaos.h"
 #include "obs/metrics.h"
+#include "util/quantile.h"
 
 using sgk::ProtocolKind;
 

@@ -66,7 +66,8 @@ int main(int argc, char** argv) {
   sgk::FlagTable flags(opts);
   flags.add("--groups N", groups, "groups hosted", sgk::at_least(1));
   flags.add("--members N", members, "members per group", sgk::at_least(2));
-  flags.add("--events N", events, "storm events per group", sgk::at_least(1));
+  flags.add("--events N", events,
+            "storm events per group, a multiple of --burst", sgk::at_least(1));
   flags.add("--burst N", burst, "events per burst", sgk::at_least(1));
   flags.add("--window-min MS", window_min_ms, "smallest batching window",
             sgk::at_least(0));
@@ -80,6 +81,8 @@ int main(int argc, char** argv) {
   if (const auto status = flags.parse(argc, argv)) return *status;
   if (window_max_ms < window_min_ms)
     return flags.fail("--window-max", "must be >= --window-min, got");
+  if (events % burst != 0)
+    return flags.fail("--events", "must be a multiple of --burst");
   if (flags.given("--threads") && !flags.given("--scale"))
     scale = {opts.threads};
 

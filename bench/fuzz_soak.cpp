@@ -27,6 +27,7 @@
 #include "harness/bench_io.h"
 #include "harness/fuzz.h"
 #include "obs/metrics.h"
+#include "util/quantile.h"
 
 using sgk::ProtocolKind;
 
@@ -79,16 +80,16 @@ int main(int argc, char** argv) {
       int converged = 0;
       for (int s = 0; s < seeds; ++s) {
         const std::uint64_t seed = opts.seed + static_cast<std::uint64_t>(s);
-        sgk::FuzzConfig cfg;
-        cfg.chaos.protocol = kind;
-        cfg.chaos.seed = seed;
-        cfg.chaos.initial_size = group_size;
-        cfg.chaos.events = events;
-        cfg.chaos.mutation_rate = rate;
+        sgk::ChaosConfig cfg;
+        cfg.protocol = kind;
+        cfg.seed = seed;
+        cfg.initial_size = group_size;
+        cfg.events = events;
+        cfg.mutation_rate = rate;
         // Parity regime: even seeds keep signatures on and face the full
         // mutation menu; odd seeds drop signatures and face the menu strict
         // validation alone provably catches.
-        cfg.chaos.verify_signatures = seed % 2 == 0;
+        cfg.verify_signatures = seed % 2 == 0;
         const sgk::FuzzResult r = sgk::run_fuzz(cfg);
         ++total_runs;
         mutated += r.chaos.frames_mutated;

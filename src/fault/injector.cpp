@@ -1,22 +1,6 @@
 #include "fault/injector.h"
 
-#include <algorithm>
-
-#include "util/check.h"
-
 namespace sgk::fault {
-
-void FaultInjector::arm(Scheduler& sched, ChurnTarget& target) {
-  SGK_CHECK(!armed_);
-  armed_ = true;
-  const double now = sched.now();
-  for (const ChurnOp& op : plan_.ops()) {
-    sched.after(std::max(0.0, op.at_ms - now), [this, &target, op]() {
-      ++stats_.churn_applied;
-      target.apply(op);
-    });
-  }
-}
 
 WireFault FaultInjector::on_daemon_copy(int from_machine, int to_machine,
                                         std::uint64_t seq) {

@@ -1,7 +1,5 @@
 #include "fault/plan.h"
 
-#include <algorithm>
-
 #include "util/check.h"
 
 namespace sgk::fault {
@@ -24,10 +22,8 @@ void FaultPlan::script(double at_ms, ChurnKind kind, std::uint64_t arg) {
   ops_.push_back(ChurnOp{at_ms, kind, arg});
 }
 
-void FaultPlan::randomize(int events, double start_ms, double min_gap_ms,
-                          double max_gap_ms) {
+void FaultPlan::randomize(int events, double start_ms) {
   SGK_CHECK(events >= 0);
-  SGK_CHECK(min_gap_ms >= 0.0 && min_gap_ms <= max_gap_ms);
   // A dedicated stream per mode keeps scripted ops (if any) unaffected.
   FaultRng rng(seed_ ^ 0xc4ce5e2db2a5a9e5ULL);
   double t = start_ms;
@@ -51,77 +47,17 @@ void FaultPlan::randomize(int events, double start_ms, double min_gap_ms,
     if (kind == ChurnKind::kPartition) partitioned = true;
     if (kind == ChurnKind::kHeal) partitioned = false;
     ops_.push_back(ChurnOp{t, kind, rng.next_u64()});
-    t += min_gap_ms + rng.next_unit() * (max_gap_ms - min_gap_ms);
+    t += kChurnMinGapMs +
+         rng.next_unit() * (kChurnMaxGapMs - kChurnMinGapMs);
   }
   // End healed: a partitioned network cannot converge on one key, and the
   // acceptance invariant is global agreement after the schedule drains.
   if (partitioned) ops_.push_back(ChurnOp{t, ChurnKind::kHeal, 0});
 }
 
-namespace {
-// Von Neumann's exponential sampler: Exp(1) drawn from uniforms with only
-// comparisons and additions, so storm schedules stay bit-identical on every
-// platform (no libm log(), whose last-ulp behavior varies by implementation).
-// Draw a descending run U1 > U2 > ... > Un with U(n+1) ending it; an
-// odd-length run accepts X = whole + U1, an even one adds 1 and retries.
-double next_exponential(FaultRng& rng) {
-  double whole = 0.0;
-  for (;;) {
-    const double first = rng.next_unit();
-    double prev = first;
-    std::uint64_t run = 1;
-    for (;;) {
-      const double next = rng.next_unit();
-      if (next >= prev) break;
-      prev = next;
-      ++run;
-    }
-    if (run % 2 == 1) return whole + first;
-    whole += 1.0;
-  }
-}
-}  // namespace
-
-void FaultPlan::poisson_storm(int events, double start_ms, double mean_gap_ms) {
-  SGK_CHECK(events >= 0);
-  SGK_CHECK(start_ms >= 0.0 && mean_gap_ms > 0.0);
-  // Disjoint stream from randomize(): composing both on one plan keeps each
-  // schedule independent of the other's draw count.
-  FaultRng rng(seed_ ^ 0x9e6c63d0a52ac3f1ULL);
-  double t = start_ms;
-  bool partitioned = false;
-  for (int i = 0; i < events; ++i) {
-    // Join/leave dominate — a memoryless churn storm is membership traffic,
-    // not topology traffic — with enough partition/heal and rekey seasoning
-    // that batches form mid-split and forced refreshes land inside windows.
-    const double pick = rng.next_unit();
-    ChurnKind kind;
-    if (pick < 0.45) {
-      kind = ChurnKind::kJoin;
-    } else if (pick < 0.80) {
-      kind = ChurnKind::kLeave;
-    } else if (pick < 0.88) {
-      kind = ChurnKind::kCrash;
-    } else if (pick < 0.95) {
-      kind = partitioned ? ChurnKind::kHeal : ChurnKind::kPartition;
-    } else {
-      kind = ChurnKind::kRekey;
-    }
-    if (kind == ChurnKind::kPartition) partitioned = true;
-    if (kind == ChurnKind::kHeal) partitioned = false;
-    ops_.push_back(ChurnOp{t, kind, rng.next_u64()});
-    // Clamp the exponential tail (P(X > 16) ~ 1e-7) so one outlier draw
-    // cannot stretch a bounded-horizon harness past its deadline.
-    const double gap = std::min(next_exponential(rng), 16.0) * mean_gap_ms;
-    t += gap;
-  }
-  if (partitioned) ops_.push_back(ChurnOp{t, ChurnKind::kHeal, 0});
-}
-
-void FaultPlan::bursty_storm(int bursts, int burst_size, double start_ms,
-                             double intra_gap_ms, double idle_gap_ms) {
+void FaultPlan::bursty_storm(int bursts, int burst_size, double start_ms) {
   SGK_CHECK(bursts >= 0 && burst_size >= 1);
-  SGK_CHECK(start_ms >= 0.0 && intra_gap_ms >= 0.0 && idle_gap_ms >= 0.0);
+  SGK_CHECK(start_ms >= 0.0);
   FaultRng rng(seed_ ^ 0x7b1f0a2dd4cb96e3ULL);
   double t = start_ms;
   bool partitioned = false;
@@ -136,18 +72,18 @@ void FaultPlan::bursty_storm(int bursts, int burst_size, double start_ms,
     if (topology_burst && !partitioned) {
       ops_.push_back(ChurnOp{t, ChurnKind::kPartition, rng.next_u64()});
       partitioned = true;
-      t += intra_gap_ms;
+      t += kBurstGapMs;
     }
     for (int i = 0; i < burst_size; ++i) {
       ops_.push_back(ChurnOp{t, lean, rng.next_u64()});
-      t += intra_gap_ms;
+      t += kBurstGapMs;
     }
     if (topology_burst && partitioned) {
       ops_.push_back(ChurnOp{t, ChurnKind::kHeal, 0});
       partitioned = false;
-      t += intra_gap_ms;
+      t += kBurstGapMs;
     }
-    t += idle_gap_ms;
+    t += kBurstIdleMs;
   }
   if (partitioned) ops_.push_back(ChurnOp{t, ChurnKind::kHeal, 0});
 }

@@ -41,6 +41,23 @@ struct FaultRates {
   }
 };
 
+/// Randomized churn timing shared by chaos runs and hosted server groups.
+/// The first op fires kChurnStartMs after the run (or the group's
+/// onboarding) begins: late enough for the initial join burst to be in
+/// flight, early enough that ops still land inside agreements. Gaps are
+/// short enough that an op routinely lands inside the previous op's key
+/// agreement (the cascaded regime). A run must settle within kChurnGraceMs
+/// (virtual) of its last op, else it records a timeout violation.
+inline constexpr double kChurnStartMs = 50.0;
+inline constexpr double kChurnMinGapMs = 5.0;
+inline constexpr double kChurnMaxGapMs = 40.0;
+inline constexpr double kChurnGraceMs = 30000.0;
+
+/// Bursty storm timing: the gap between ops inside a burst, and the quiet
+/// stretch between bursts.
+inline constexpr double kBurstGapMs = 1.0;
+inline constexpr double kBurstIdleMs = 400.0;
+
 /// Membership-layer fault operations the chaos driver can apply.
 enum class ChurnKind {
   kJoin,       // a fresh member joins the group
@@ -75,31 +92,21 @@ class FaultPlan {
   void script(double at_ms, ChurnKind kind, std::uint64_t arg = 0);
 
   /// Randomized mode: appends `events` ops starting at `start_ms`, with
-  /// inter-op gaps uniform in [min_gap_ms, max_gap_ms]. The kind mix leans
-  /// on join/leave/crash cascades; partitions alternate with heals, and the
-  /// schedule always ends healed so a run can converge globally.
+  /// inter-op gaps uniform in [kChurnMinGapMs, kChurnMaxGapMs]. The kind mix
+  /// leans on join/leave/crash cascades; partitions alternate with heals,
+  /// and the schedule always ends healed so a run can converge globally.
   /// Deterministic in (seed, arguments).
-  void randomize(int events, double start_ms, double min_gap_ms,
-                 double max_gap_ms);
-
-  /// Poisson storm: `events` ops starting at `start_ms` with exponentially
-  /// distributed inter-arrival gaps of mean `mean_gap_ms` — the classic
-  /// memoryless churn model, whose clustering (many gaps far below the
-  /// mean) is what exercises an adaptive batching window. Join/leave-heavy
-  /// mix (partitions/heals season it), always ends healed. Deterministic in
-  /// (seed, arguments); uses a stream disjoint from randomize()'s.
-  void poisson_storm(int events, double start_ms, double mean_gap_ms);
+  void randomize(int events, double start_ms);
 
   /// Bursty storm: `bursts` clusters of `burst_size` ops each; ops inside a
-  /// burst are `intra_gap_ms` apart (well inside one batching window), and
-  /// bursts are separated by `idle_gap_ms` of quiet (long enough for the
+  /// burst are kBurstGapMs apart (well inside one batching window), and
+  /// bursts are separated by kBurstIdleMs of quiet (long enough for the
   /// window to drain and shrink). The flash-crowd model the
   /// keys-per-membership-event acceptance criterion is judged on. Each
   /// burst leans all-join or all-leave so the aggregate event is a real
   /// merge/partition-shaped delta. Always ends healed. Deterministic in
   /// (seed, arguments).
-  void bursty_storm(int bursts, int burst_size, double start_ms,
-                    double intra_gap_ms, double idle_gap_ms);
+  void bursty_storm(int bursts, int burst_size, double start_ms);
 
   /// Stateless per-copy verdict for a daemon-to-daemon copy: the same
   /// (seed, from, to, seq) always yields the same fault, independent of

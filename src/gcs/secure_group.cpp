@@ -253,7 +253,7 @@ void SecureGroupMember::on_view(const std::string& group, const View& view,
     // O(log) rekeys instead of one per fixed deadline while the chain stays
     // budget-exempt and therefore can never wedge.
     const double deadline = recovery_backoff_ms(
-        config_.recovery_watchdog_ms, config_.recovery_backoff_cap_ms,
+        config_.recovery_watchdog_ms, kRecoveryBackoffCapMs,
         watchdog_streak_, config_.seed, self_, epoch);
     net_.simulator().after(deadline, [this, alive = alive_, epoch] {
       if (!*alive || epoch_ != epoch) return;
@@ -351,7 +351,7 @@ void SecureGroupMember::schedule_recovery() {
   // own; if it is still in flight at this epoch, request a rekey. One
   // recovery per epoch: the rekey changes the epoch, so a repeat at the same
   // epoch means this recovery is already pending. The delay starts at
-  // recovery_delay_ms and backs off exponentially (with seeded jitter)
+  // kRecoveryDelayMs and backs off exponentially (with seeded jitter)
   // across the consecutive failed recoveries of one convergence episode, so
   // a group fighting a persistent corruptor spaces its rekey storm out
   // instead of burning the whole 8-attempt budget at a fixed cadence.
@@ -359,7 +359,7 @@ void SecureGroupMember::schedule_recovery() {
   last_recovery_epoch_ = epoch_;
   const std::uint64_t epoch = epoch_;
   const double delay =
-      recovery_backoff_ms(config_.recovery_delay_ms, config_.recovery_backoff_cap_ms,
+      recovery_backoff_ms(kRecoveryDelayMs, kRecoveryBackoffCapMs,
                           recovery_attempts_, config_.seed, self_, epoch);
   net_.simulator().after(delay, [this, alive = alive_, epoch] {
     if (!*alive || epoch_ != epoch) return;

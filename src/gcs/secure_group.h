@@ -63,6 +63,18 @@ class Pki {
   std::map<ProcessId, VerifyKey> keys_ SGK_GUARDED_BY(pki_mu_);
 };
 
+/// Base virtual-time delay between a recoverable frame rejection and the
+/// rekey request it triggers when the agreement is still stuck (quarantine
+/// policy; rate-limited to one recovery per epoch). The FIRST recovery of a
+/// convergence episode waits exactly this long; consecutive failed
+/// recoveries back off exponentially with seeded jitter (see
+/// recovery_backoff_ms) up to kRecoveryBackoffCapMs.
+inline constexpr double kRecoveryDelayMs = 20.0;
+/// Upper bound for the deterministic part of both backoff schedules, the
+/// reject path's and the watchdog's (virtual ms). Jitter of up to 25% rides
+/// on top, so the true ceiling is 1.25x this.
+inline constexpr double kRecoveryBackoffCapMs = 2000.0;
+
 struct MemberConfig {
   // Copied into each member at construction; per-run value type.
   SGK_CONFINED_TO_RUN;
@@ -81,13 +93,6 @@ struct MemberConfig {
   /// harnesses that study what strict structural validation alone catches;
   /// loopback integrity and all semantic checks stay on.
   bool verify_signatures = true;
-  /// Base virtual-time delay between a recoverable frame rejection and the
-  /// rekey request it triggers when the agreement is still stuck (quarantine
-  /// policy; rate-limited to one recovery per epoch). The FIRST recovery of
-  /// a convergence episode waits exactly this long; consecutive failed
-  /// recoveries back off exponentially with seeded jitter (see
-  /// recovery_backoff_ms) up to recovery_backoff_cap_ms.
-  double recovery_delay_ms = 20.0;
   /// When > 0, an agreement still in flight this long (virtual ms) after its
   /// view installed triggers a rekey request — the backstop for frames an
   /// adversary erased outright, which produce no rejection at the members
@@ -95,10 +100,6 @@ struct MemberConfig {
   /// watchdog's retry chain backs off exponentially across consecutive
   /// unkeyed fires (streak resets on every key install).
   double recovery_watchdog_ms = 0.0;
-  /// Upper bound for the deterministic part of both backoff schedules
-  /// (virtual ms). Jitter of up to 25% rides on top, so the true ceiling is
-  /// 1.25x this. <= 0 disables the cap (pure exponential growth).
-  double recovery_backoff_cap_ms = 2000.0;
 };
 
 /// Deterministic backoff schedule shared by the reject-path recovery and the
@@ -241,7 +242,7 @@ class SecureGroupMember final : public GroupClient, private ProtocolHost {
   /// Counts a typed rejection (total, per-reason counter, wire-size
   /// histogram) and, when `recoverable`, invokes the quarantine policy.
   void reject_frame(RejectReason reason, std::size_t wire_size, bool recoverable);
-  /// Quarantine policy: after recovery_delay_ms of virtual time, if this
+  /// Quarantine policy: after kRecoveryDelayMs of virtual time, if this
   /// epoch's agreement is still stuck, request a rekey (once per epoch).
   void schedule_recovery();
 

@@ -22,7 +22,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -270,48 +269,6 @@ class SpreadNetwork {
   fault::WireFaultHook* fault_hook_ = nullptr;
   std::unique_ptr<RekeyBatcher> batcher_;  // non-null iff params_.batch.enabled
   std::uint64_t unicast_mutation_units_ = 0;  // see unicast() mutation point
-};
-
-/// Aggregate transport counters shared by every group a multi-group server
-/// hosts. Each per-group SpreadNetwork stays strictly run-confined; workers
-/// fold a finished network's totals into this one mutex-guarded sink, so the
-/// only cross-thread transport state carries a real lock rather than a
-/// confinement marker.
-class SharedSpreadStats {
- public:
-  /// Adds `net`'s lifetime totals. Called once per network, from whichever
-  /// worker (or the main thread) finalizes its group.
-  ///
-  /// Fields and accessors deliberately do NOT reuse SpreadNetwork's names
-  /// (messages_stamped et al.): the capability analyses (gka_lint GKA5xx,
-  /// Clang -Wthread-safety via the guard map) match by bare identifier, so
-  /// a guarded `stamped_total_` must not share a name with the per-network
-  /// run-confined counter it aggregates.
-  void absorb(const SpreadNetwork& net) SGK_EXCLUDES(stats_mu_) {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++networks_absorbed_;
-    stamped_total_ += net.messages_stamped();
-    processes_total_ += static_cast<std::uint64_t>(net.process_count());
-  }
-
-  std::uint64_t networks_absorbed() const SGK_EXCLUDES(stats_mu_) {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    return networks_absorbed_;
-  }
-  std::uint64_t stamped_total() const SGK_EXCLUDES(stats_mu_) {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    return stamped_total_;
-  }
-  std::uint64_t processes_total() const SGK_EXCLUDES(stats_mu_) {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    return processes_total_;
-  }
-
- private:
-  mutable std::mutex stats_mu_;
-  std::uint64_t networks_absorbed_ SGK_GUARDED_BY(stats_mu_) = 0;
-  std::uint64_t stamped_total_ SGK_GUARDED_BY(stats_mu_) = 0;
-  std::uint64_t processes_total_ SGK_GUARDED_BY(stats_mu_) = 0;
 };
 
 }  // namespace sgk

@@ -11,6 +11,7 @@
 
 #include "util/check.h"
 #include "util/parse_number.h"
+#include "util/quantile.h"
 
 namespace sgk {
 
@@ -256,16 +257,6 @@ bool parse_protocols(const std::string& name, std::vector<ProtocolKind>& out) {
   if (it == kByName.end()) return false;
   out = {it->second};
   return true;
-}
-
-double quantile(std::vector<double> v, double q) {
-  if (v.empty()) return 0.0;
-  std::sort(v.begin(), v.end());
-  const double rank = q * static_cast<double>(v.size() - 1);
-  const auto lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, v.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return v[lo] + (v[hi] - v[lo]) * frac;
 }
 
 std::string lower_name(ProtocolKind kind) {

@@ -129,10 +129,6 @@ class FlagTable {
 /// name, case-insensitive. Returns false for an unknown name.
 bool parse_protocols(const std::string& name, std::vector<ProtocolKind>& out);
 
-/// Quantile of a sample with linear interpolation between order statistics
-/// (the convention docs/observability.md documents); 0 for an empty sample.
-double quantile(std::vector<double> v, double q);
-
 /// Lower-case protocol name, as `--protocol` spells it in repro lines.
 std::string lower_name(ProtocolKind kind);
 

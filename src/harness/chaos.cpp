@@ -7,7 +7,6 @@
 
 #include "obs/metrics.h"
 #include "server/deployment.h"
-#include "sim/fault_adapter.h"
 #include "util/check.h"
 
 namespace sgk {
@@ -34,7 +33,7 @@ MemberConfig chaos_member(const ChaosConfig& config) {
 
 /// One chaos run: drives the seeded fault plan against a deployment and
 /// checks the invariants at the deadline.
-class ChaosRun final : public fault::ChurnTarget {
+class ChaosRun {
  public:
   ChaosRun(const ChaosConfig& config, fault::FaultPlan plan)
       : config_(config),
@@ -62,23 +61,28 @@ class ChaosRun final : public fault::ChurnTarget {
   }
 
   ChaosResult run() {
-    // Arm first: the plan's ops are absolute virtual times, and the initial
-    // group's agreement may still be running when the first op fires —
-    // that cascade is the point.
+    // Schedule first: the plan's ops are absolute virtual times, and the
+    // initial group's agreement may still be running when the first op
+    // fires — that cascade is the point.
     Simulator& sim = deployment_.sim();
-    SimFaultScheduler sched(sim);
-    injector_.arm(sched, *this);
+    deployment_.schedule(
+        injector_.plan().ops(), [this](const fault::ChurnOp& op, bool) {
+          ++churn_applied_;
+          if (obs::MetricsRegistry* mr = obs::metrics())
+            mr->counter(std::string("chaos/op/") + fault::to_string(op.kind))
+                .add();
+        });
     for (std::size_t i = 0; i < config_.initial_size; ++i)
       deployment_.spawn().join();
 
     const auto& ops = injector_.plan().ops();
     const double last_op = ops.empty() ? 0.0 : ops.back().at_ms;
-    const double deadline = last_op + config_.grace_ms;
+    const double deadline = last_op + fault::kChurnGraceMs;
     sim.run_until(deadline);
     if (sim.pending() > 0)
       checker_.flag_timeout("run still active at deadline (last op " +
                             std::to_string(last_op) + "ms + grace " +
-                            std::to_string(config_.grace_ms) + "ms)");
+                            std::to_string(fault::kChurnGraceMs) + "ms)");
 
     const server::Deployment::Audit audit = deployment_.audit(checker_);
     ChaosResult r;
@@ -96,15 +100,9 @@ class ChaosRun final : public fault::ChurnTarget {
     r.end_ms = sim.now();
     r.convergence_ms = std::max(0.0, last_key_time_ - last_op);
     r.wire = injector_.stats();
-    r.churn_applied = injector_.stats().churn_applied;
+    r.churn_applied = churn_applied_;
     r.frames_mutated = injector_.stats().frames_mutated;
     return r;
-  }
-
-  void apply(const fault::ChurnOp& op) override {
-    deployment_.apply(op);
-    if (obs::MetricsRegistry* mr = obs::metrics())
-      mr->counter(std::string("chaos/op/") + fault::to_string(op.kind)).add();
   }
 
  private:
@@ -115,6 +113,7 @@ class ChaosRun final : public fault::ChurnTarget {
   fault::InvariantChecker checker_;
   server::Deployment deployment_;
   double last_key_time_ = 0.0;
+  std::uint64_t churn_applied_ = 0;
 };
 
 }  // namespace
@@ -126,8 +125,7 @@ ChaosResult run_chaos(const ChaosConfig& config) {
     for (const fault::ChurnOp& op : config.script)
       plan.script(op.at_ms, op.kind, op.arg);
   } else {
-    plan.randomize(config.events, config.start_ms, config.min_gap_ms,
-                   config.max_gap_ms);
+    plan.randomize(config.events, fault::kChurnStartMs);
   }
   ChaosRun run(config, std::move(plan));
   return run.run();

@@ -2,8 +2,9 @@
 // deployment.
 //
 // run_chaos builds a simulated deployment (server/deployment.h: network,
-// daemons, members with the configured key agreement protocol), arms a FaultInjector with the
-// plan derived from (seed, config), lets the schedule play out — cascaded
+// daemons, members with the configured key agreement protocol), installs a
+// FaultInjector for the plan derived from (seed, config), schedules the
+// plan's churn on the deployment, lets the schedule play out — cascaded
 // joins/leaves/crashes/partitions landing inside in-flight agreements,
 // wire-level drop/delay/duplication on every daemon copy — and then checks
 // the chaos invariants (fault/invariants.h): every surviving member of the
@@ -32,18 +33,12 @@ struct ChaosConfig {
   SigScheme signature = SigScheme::kRsa;
   std::uint64_t seed = 1;
   std::size_t initial_size = 8;
-  /// Randomized churn ops to schedule (ignored when `script` is set).
+  /// Randomized churn ops to schedule (ignored when `script` is set): the
+  /// first fires at fault::kChurnStartMs and gaps are uniform in
+  /// [kChurnMinGapMs, kChurnMaxGapMs]. Scripted or not, the run must settle
+  /// within fault::kChurnGraceMs of its last op (fault/plan.h).
   int events = 6;
   fault::FaultRates rates = fault::FaultRates::uniform(0.1);
-  /// First churn op fires at start_ms; inter-op gaps are uniform in
-  /// [min_gap_ms, max_gap_ms] — short enough that ops routinely land inside
-  /// the previous op's key agreement (the cascaded regime).
-  double start_ms = 50.0;
-  double min_gap_ms = 5.0;
-  double max_gap_ms = 40.0;
-  /// Liveness bound: the run must settle within grace_ms (virtual) of the
-  /// last churn op, else it records a timeout violation.
-  double grace_ms = 30000.0;
   /// Scripted mode: when non-empty these ops replace the randomized
   /// schedule (regression reproductions, unit tests).
   std::vector<fault::ChurnOp> script;

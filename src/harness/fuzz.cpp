@@ -6,11 +6,11 @@
 
 namespace sgk {
 
-FuzzResult run_fuzz(const FuzzConfig& config) {
+FuzzResult run_fuzz(const ChaosConfig& config) {
   FuzzResult r;
-  ChaosConfig chaos = config.chaos;
+  ChaosConfig chaos = config;
   if (chaos.recovery_watchdog_ms <= 0.0)
-    chaos.recovery_watchdog_ms = config.default_watchdog_ms;
+    chaos.recovery_watchdog_ms = kFuzzWatchdogMs;
   try {
     r.chaos = run_chaos(chaos);
   } catch (const std::exception& e) {

@@ -17,16 +17,10 @@
 
 namespace sgk {
 
-struct FuzzConfig {
-  /// The underlying chaos scenario. mutation_rate must be non-zero for the
-  /// run to exercise anything; run_fuzz arms the recovery watchdog when the
-  /// caller left it disabled.
-  ChaosConfig chaos;
-  /// Watchdog applied when chaos.recovery_watchdog_ms is 0: long enough for
-  /// honest agreements to finish, short enough to retry well inside the
-  /// chaos grace period.
-  double default_watchdog_ms = 400.0;
-};
+/// Recovery watchdog a fuzz run arms when its config leaves it disabled:
+/// long enough for honest agreements to finish, short enough to retry well
+/// inside the chaos grace period.
+inline constexpr double kFuzzWatchdogMs = 400.0;
 
 struct FuzzResult {
   ChaosResult chaos;
@@ -38,7 +32,8 @@ struct FuzzResult {
 };
 
 /// Runs one adversarial-wire scenario to completion. Deterministic in
-/// `config`.
-FuzzResult run_fuzz(const FuzzConfig& config);
+/// `config`. mutation_rate must be non-zero for the run to exercise
+/// anything; a recovery_watchdog_ms of 0 becomes kFuzzWatchdogMs.
+FuzzResult run_fuzz(const ChaosConfig& config);
 
 }  // namespace sgk

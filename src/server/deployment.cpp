@@ -86,6 +86,12 @@ bool Deployment::apply(const fault::ChurnOp& op) {
   return false;
 }
 
+void Deployment::schedule(const std::vector<fault::ChurnOp>& ops,
+                          OpListener listener) {
+  for (const fault::ChurnOp& op : ops)
+    sim_.at(op.at_ms, [this, op, listener] { listener(op, apply(op)); });
+}
+
 Deployment::Audit Deployment::audit(fault::InvariantChecker& checker) const {
   Audit a;
   std::vector<fault::KeyProbe> probes;

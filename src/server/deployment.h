@@ -1,7 +1,8 @@
 // Deployment: one simulated Secure Spread deployment — a Simulator, a
 // SpreadNetwork of daemons over a testbed topology, a Pki, and the members
 // running one key agreement protocol — together with the membership
-// operations a churn plan drives against it and the end-state audit.
+// operations a churn plan drives against it, their scheduling on virtual
+// time, and the end-state audit.
 //
 // The chaos harness, each hosted server group and the measurement harness
 // build their deployment here and keep only what is their own: the chaos
@@ -9,8 +10,8 @@
 // group (server/group_host.cpp) its lazy onboarding, keyed-epoch tracking
 // and report; the measurement harness (harness/experiment.cpp) its leave
 // policy, counter deltas and tracing.
-// Because the population, the churn-op semantics and the convergence probe
-// live in one place, the drivers cannot drift apart on them.
+// Because the population, the churn-op semantics and scheduling and the
+// convergence probe live in one place, the drivers cannot drift apart on them.
 #pragma once
 
 #include <cstdint>
@@ -38,6 +39,8 @@ class Deployment {
   /// Called on every key install of a member: (member, time, epoch).
   using KeyListener =
       std::function<void(SecureGroupMember&, SimTime, std::uint64_t)>;
+  /// Called after each scheduled churn op fires: (op, whether it applied).
+  using OpListener = std::function<void(const fault::ChurnOp&, bool)>;
 
   /// End-state totals over the live members (see audit()).
   struct Audit {
@@ -102,6 +105,11 @@ class Deployment {
   /// and a rekey with nobody to request it. Victims are live[arg % live];
   /// a partition splits the machines at 1 + arg % (machine_count - 1).
   bool apply(const fault::ChurnOp& op);
+
+  /// Schedules each op, in order, at its absolute virtual time `op.at_ms`
+  /// (an op in the past is a CheckFailure). When it fires, the op is
+  /// applied and then reported to `listener`.
+  void schedule(const std::vector<fault::ChurnOp>& ops, OpListener listener);
 
   /// End-state probe: flags every member still mid-agreement as wedged,
   /// then checks that the live members of each network component share one

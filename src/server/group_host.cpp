@@ -4,33 +4,25 @@
 #include <string>
 #include <utility>
 
-#include "sim/fault_adapter.h"
 #include "util/check.h"
 
 namespace sgk::server {
 
 fault::FaultPlan build_group_plan(const GroupSpec& spec) {
   fault::FaultPlan plan(spec.seed, spec.rates);
-  // Churn starts churn_start_ms after onboarding so the first op routinely
+  // Churn starts kChurnStartMs after onboarding so the first op routinely
   // lands inside an in-flight agreement — the cascaded regime, per group.
-  const double start = spec.onboard_at_ms + spec.churn_start_ms;
+  const double start = spec.onboard_at_ms + fault::kChurnStartMs;
   switch (spec.storm) {
     case StormKind::kUniform:
-      plan.randomize(spec.churn_events, start, spec.min_gap_ms,
-                     spec.max_gap_ms);
+      plan.randomize(spec.churn_events, start);
       break;
-    case StormKind::kPoisson:
-      plan.poisson_storm(spec.churn_events, start, spec.mean_gap_ms);
-      break;
-    case StormKind::kBursty: {
+    case StormKind::kBursty:
       // churn_events stays the total event budget across storm shapes, so
       // the batched/unbatched comparison holds workload size constant.
-      const int size = std::max(1, spec.burst_size);
-      const int bursts = std::max(1, spec.churn_events / size);
-      plan.bursty_storm(bursts, size, start, spec.intra_gap_ms,
-                        spec.idle_gap_ms);
+      plan.bursty_storm(spec.churn_events / spec.burst_size, spec.burst_size,
+                        start);
       break;
-    }
   }
   return plan;
 }
@@ -39,10 +31,16 @@ double group_deadline_ms(const GroupSpec& spec) {
   const fault::FaultPlan plan = build_group_plan(spec);
   const auto& ops = plan.ops();
   const double last_op = ops.empty() ? spec.onboard_at_ms : ops.back().at_ms;
-  return std::max(last_op, spec.onboard_at_ms) + spec.grace_ms;
+  return std::max(last_op, spec.onboard_at_ms) + fault::kChurnGraceMs;
 }
 
 namespace {
+
+/// Per-member recovery watchdog (gcs/secure_group.h): a member whose
+/// agreement outlives this window requests a quarantine rekey instead of
+/// wedging forever. A long-lived server arms it — at thousands of groups,
+/// rare per-group liveness corners become routine events.
+constexpr double kRecoveryWatchdogMs = 5000.0;
 
 SpreadParams group_params(const GroupSpec& spec, ProcessId first_pid) {
   SpreadParams p;
@@ -57,8 +55,7 @@ MemberConfig group_member(const GroupSpec& spec) {
   cfg.protocol = spec.protocol;
   cfg.dh_bits = spec.dh_bits;
   cfg.seed = spec.seed;
-  cfg.recovery_watchdog_ms = spec.recovery_watchdog_ms;
-  cfg.recovery_backoff_cap_ms = spec.recovery_backoff_cap_ms;
+  cfg.recovery_watchdog_ms = kRecoveryWatchdogMs;
   return cfg;
 }
 
@@ -79,21 +76,22 @@ GroupHost::GroupHost(const GroupSpec& spec, std::shared_ptr<Pki> pki,
 
   const auto& ops = injector_.plan().ops();
   last_op_ms_ = ops.empty() ? spec_.onboard_at_ms : ops.back().at_ms;
-  deadline_ms_ = std::max(last_op_ms_, spec_.onboard_at_ms) + spec_.grace_ms;
+  deadline_ms_ =
+      std::max(last_op_ms_, spec_.onboard_at_ms) + fault::kChurnGraceMs;
 
-  // Arm everything up front on this group's private simulator: onboarding at
-  // the scheduled time, then the churn plan (absolute virtual times).
-  Simulator& sim = deployment_.sim();
-  sim.at(spec_.onboard_at_ms, [this] {
+  // Schedule everything up front on this group's private simulator:
+  // onboarding at the scheduled time, then the churn plan (absolute virtual
+  // times).
+  deployment_.sim().at(spec_.onboard_at_ms, [this] {
     for (std::size_t i = 0; i < spec_.initial_size; ++i)
       deployment_.spawn().join();
   });
-  // The scheduler adapter is only used during arm(); all ops land on sim.
-  SimFaultScheduler sched(sim);
-  injector_.arm(sched, *this);
+  deployment_.schedule(ops, [this](const fault::ChurnOp& op, bool applied) {
+    if (applied) ++events_applied_;
+    if (obs::MetricsRegistry* mr = obs::metrics())
+      mr->counter(std::string("server/op/") + fault::to_string(op.kind)).add();
+  });
 }
-
-GroupHost::~GroupHost() = default;
 
 void GroupHost::advance(SimTime until) {
   if (done()) return;
@@ -103,23 +101,7 @@ void GroupHost::advance(SimTime until) {
   deployment_.sim().run_until(until);
 }
 
-GroupStatus GroupHost::status() const {
-  GroupStatus s;
-  if (finalized_ || done()) {
-    s.state = forced_ ? GroupState::kFailed : GroupState::kSettled;
-    s.settled_ms = deployment_.sim().now();
-  } else if (first_key_ms_ >= 0.0) {
-    s.state = GroupState::kActive;
-  } else {
-    s.state = GroupState::kOnboarding;
-  }
-  s.epoch = keyed_epochs_.empty() ? 0 : keyed_epochs_.back();
-  s.members = deployment_.alive().size();
-  s.rekeys = keyed_epochs_.size() <= 1 ? 0 : keyed_epochs_.size() - 1;
-  return s;
-}
-
-GroupReport GroupHost::finalize(SharedSpreadStats* shared) {
+GroupReport GroupHost::finalize() {
   SGK_CHECK(!finalized_);
   finalized_ = true;
   obs::ScopedMetrics scoped(&metrics_);
@@ -127,7 +109,7 @@ GroupReport GroupHost::finalize(SharedSpreadStats* shared) {
   if (forced_ && deployment_.sim().pending() > 0) {
     checker_.flag_timeout(spec_.name + " still active at deadline (last op " +
                           std::to_string(last_op_ms_) + "ms + grace " +
-                          std::to_string(spec_.grace_ms) + "ms)");
+                          std::to_string(fault::kChurnGraceMs) + "ms)");
   }
 
   const Deployment::Audit audit = deployment_.audit(checker_);
@@ -151,20 +133,14 @@ GroupReport GroupHost::finalize(SharedSpreadStats* shared) {
   r.settled_ms = deployment_.sim().now();
   r.event_to_key_ms = event_to_key_ms_;
   r.events_applied = events_applied_;
+  r.messages_stamped = deployment_.net().messages_stamped();
+  r.processes = deployment_.net().process_count();
   if (const RekeyBatcher* b = deployment_.net().batcher())
     r.batch = b->stats(spec_.name);
 
   metrics_.counter("server/groups_finalized").add();
   if (!r.converged) metrics_.counter("server/groups_failed").add();
-
-  if (shared != nullptr) shared->absorb(deployment_.net());
   return r;
-}
-
-void GroupHost::apply(const fault::ChurnOp& op) {
-  if (deployment_.apply(op)) ++events_applied_;
-  if (obs::MetricsRegistry* mr = obs::metrics())
-    mr->counter(std::string("server/op/") + fault::to_string(op.kind)).add();
 }
 
 void GroupHost::on_key(SecureGroupMember& member, SimTime t,

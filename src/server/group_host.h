@@ -3,29 +3,64 @@
 // plan) that a GroupServer advances in virtual-time slices.
 //
 // Isolation is the determinism mechanism: everything a host touches while
-// advancing is owned by the host, except two structures with real locks —
-// the server-wide Pki (process ids are globally unique thanks to the host's
-// disjoint SpreadParams::first_process_id block) and the SharedSpreadStats
-// sink it reports into at finalize. A host is only ever advanced by the one
-// worker that owns its shard, one epoch at a time, with the executor's
+// advancing is owned by the host, except the server-wide Pki, which carries
+// a real lock (process ids are globally unique thanks to the host's disjoint
+// SpreadParams::first_process_id block). A host is only ever advanced by the
+// one worker that owns its shard, one epoch at a time, with the executor's
 // barrier ordering epochs — hence SGK_CONFINED_TO_RUN on the class itself.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "core/key_agreement.h"
+#include "crypto/dh.h"
 #include "fault/injector.h"
 #include "fault/invariants.h"
+#include "fault/plan.h"
+#include "gcs/rekey_batcher.h"
 #include "gcs/secure_group.h"
-#include "gcs/spread.h"
 #include "obs/metrics.h"
 #include "server/deployment.h"
-#include "server/group_directory.h"
 #include "sim/topology.h"
 #include "util/thread_annotations.h"
 
 namespace sgk::server {
+
+using GroupId = std::uint32_t;
+
+/// Shape of a group's churn schedule (see fault::FaultPlan).
+enum class StormKind {
+  kUniform,  // randomize(): uniform gaps (the chaos regime)
+  kBursty,   // bursty_storm(): tight bursts separated by idle stretches
+};
+
+/// Immutable per-group configuration, fixed when the server builds its
+/// schedule. Copied by value into the group's host. Churn starts
+/// fault::kChurnStartMs after onboarding and the group must settle within
+/// fault::kChurnGraceMs of its last op (fault/plan.h).
+struct GroupSpec {
+  // Built once on the main thread before workers start; read-only after.
+  SGK_CONFINED_TO_RUN;
+  GroupId id = 0;
+  std::string name;  // "g<id>", used for group labels and metric prefixes
+  ProtocolKind protocol = ProtocolKind::kTgdh;
+  DhBits dh_bits = DhBits::k512;
+  std::size_t initial_size = 4;
+  /// Total churn budget; a bursty storm needs a multiple of burst_size.
+  int churn_events = 4;
+  double onboard_at_ms = 0.0;  // virtual time the group's members start joining
+  std::uint64_t seed = 1;      // per-group schedule + DRBG seed
+  fault::FaultRates rates;     // wire-fault rates for this group's network
+  /// Churn schedule shape; kUniform reproduces the pre-storm plans exactly.
+  StormKind storm = StormKind::kUniform;
+  int burst_size = 8;  // kBursty: events per burst
+  /// Rekey batching for this group's network (disabled by default — every
+  /// membership event rekeys immediately, the legacy behavior).
+  BatchConfig batch;
+};
 
 /// The group's seeded churn plan, derived purely from its spec (the host
 /// builds the same plan internally; the server uses this to know deadlines
@@ -57,16 +92,20 @@ struct GroupReport {
   /// Churn ops that actually took effect (a leave skipped to keep two
   /// members does not count) — the denominator of keys-per-event.
   std::uint64_t events_applied = 0;
+  /// Transport totals of the group's network: agreed messages stamped and
+  /// processes ever created.
+  std::uint64_t messages_stamped = 0;
+  std::uint64_t processes = 0;
   /// Rekey pipeline stats (all zeros when spec.batch is disabled); the
   /// batcher's own event-arrival -> key latency samples live in
   /// batch.event_to_key_ms.
   BatchStats batch;
 };
 
-class GroupHost final : public fault::ChurnTarget {
+class GroupHost {
   // Owned by one shard; advanced by at most one worker at a time (the
-  // executor's epoch barrier separates slices). Shared structures it touches
-  // (Pki, SharedSpreadStats) carry their own locks.
+  // executor's epoch barrier separates slices). The one shared structure it
+  // touches (Pki) carries its own lock.
   SGK_CONFINED_TO_RUN;
 
  public:
@@ -76,7 +115,6 @@ class GroupHost final : public fault::ChurnTarget {
   /// disjoint process-id block.
   GroupHost(const GroupSpec& spec, std::shared_ptr<Pki> pki,
             ProcessId first_pid, const Topology& topology);
-  ~GroupHost() override;
 
   GroupHost(const GroupHost&) = delete;
   GroupHost& operator=(const GroupHost&) = delete;
@@ -106,20 +144,15 @@ class GroupHost final : public fault::ChurnTarget {
 
   const GroupSpec& spec() const { return spec_; }
 
-  /// Directory row reflecting current progress.
-  GroupStatus status() const;
-
-  /// Checks invariants, absorbs transport totals into `shared` (when given)
-  /// and builds the report. Call once, after done(), from the finalizing
-  /// thread.
-  GroupReport finalize(SharedSpreadStats* shared);
+  /// Checks invariants and builds the report, transport totals included.
+  /// Call once, after done(), from the finalizing thread.
+  GroupReport finalize();
 
   /// This group's private metrics registry (merged into the session
   /// registry by the server after the run).
   const obs::MetricsRegistry& metrics() const { return metrics_; }
 
  private:
-  void apply(const fault::ChurnOp& op) override;
   void on_key(SecureGroupMember& member, SimTime t, std::uint64_t epoch);
 
   GroupSpec spec_;

@@ -10,23 +10,9 @@
 #include "obs/metrics.h"
 #include "obs/wallclock.h"
 #include "util/check.h"
+#include "util/quantile.h"
 
 namespace sgk::server {
-
-namespace {
-
-/// Nearest-rank quantile with interpolation over a copy of `v`.
-double sample_quantile(std::vector<double> v, double q) {
-  if (v.empty()) return 0.0;
-  std::sort(v.begin(), v.end());
-  const double rank = q * static_cast<double>(v.size() - 1);
-  const auto lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, v.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return v[lo] + (v[hi] - v[lo]) * frac;
-}
-
-}  // namespace
 
 GroupServer::GroupServer(ServerConfig config)
     : config_(std::move(config)), pki_(std::make_shared<Pki>()) {
@@ -35,6 +21,10 @@ GroupServer::GroupServer(ServerConfig config)
   SGK_CHECK(config_.threads >= 1);
   SGK_CHECK(!config_.protocols.empty());
   SGK_CHECK(config_.epoch_window_ms > 0.0);
+  if (config_.storm == StormKind::kBursty) {
+    SGK_CHECK(config_.burst_size >= 1);
+    SGK_CHECK(config_.churn_events % config_.burst_size == 0);
+  }
 }
 
 GroupServer::~GroupServer() = default;
@@ -47,18 +37,12 @@ GroupSpec GroupServer::spec_for(GroupId gid) const {
   spec.dh_bits = config_.dh_bits;
   spec.initial_size = config_.members_per_group;
   spec.churn_events = config_.churn_events;
-  spec.onboard_at_ms = static_cast<double>(gid) * config_.onboard_gap_ms;
+  spec.onboard_at_ms = static_cast<double>(gid) * kOnboardGapMs;
   // Independent per-group schedule/DRBG stream, order-free in gid.
   spec.seed = fault::fault_hash(config_.seed, gid, 0x5eedULL, 1);
   spec.rates = config_.rates;
-  spec.min_gap_ms = config_.min_gap_ms;
-  spec.max_gap_ms = config_.max_gap_ms;
-  spec.grace_ms = config_.grace_ms;
   spec.storm = config_.storm;
-  spec.mean_gap_ms = config_.mean_gap_ms;
   spec.burst_size = config_.burst_size;
-  spec.intra_gap_ms = config_.intra_gap_ms;
-  spec.idle_gap_ms = config_.idle_gap_ms;
   spec.batch = config_.batch;
   return spec;
 }
@@ -73,7 +57,6 @@ ServerResult GroupServer::run() {
   double max_deadline = 0.0;
   for (GroupId gid = 0; gid < static_cast<GroupId>(n); ++gid) {
     specs.push_back(spec_for(gid));
-    directory_.register_group(specs.back());
     max_deadline = std::max(max_deadline, group_deadline_ms(specs.back()));
   }
   hosts_.resize(n);  // slots are shard-owned from here until the last barrier
@@ -100,7 +83,6 @@ ServerResult GroupServer::run() {
               slot = std::make_unique<GroupHost>(
                   specs[gid], pki_,
                   static_cast<ProcessId>(gid) * kPidStride, topo);
-              directory_.update(specs[gid].id, slot->status());
             }
             if (slot->done()) continue;
             if (t >= slot->deadline_ms()) {
@@ -111,7 +93,6 @@ ServerResult GroupServer::run() {
             } else {
               slot->advance(t);
             }
-            directory_.update(specs[gid].id, slot->status());
           }
         });
       }
@@ -134,8 +115,7 @@ ServerResult GroupServer::run() {
   result.groups.reserve(n);
   for (std::size_t gid = 0; gid < n; ++gid) {
     GroupHost& host = *hosts_[gid];
-    GroupReport report = host.finalize(&shared_stats_);
-    directory_.update(report.id, host.status());
+    GroupReport report = host.finalize();
     if (ambient != nullptr) {
       ambient->merge_from(host.metrics());
       if (config_.per_group_metrics) {
@@ -154,6 +134,8 @@ ServerResult GroupServer::run() {
     result.virtual_makespan_ms =
         std::max(result.virtual_makespan_ms, report.settled_ms);
     result.events_applied += report.events_applied;
+    result.shared_messages_stamped += report.messages_stamped;
+    result.shared_processes += report.processes;
     result.batch_events += report.batch.events;
     result.batch_flushes += report.batch.flushes;
     result.batch_coalesced += report.batch.coalesced;
@@ -167,10 +149,10 @@ ServerResult GroupServer::run() {
                                  report.batch.event_to_key_ms.end());
     result.groups.push_back(std::move(report));
   }
-  result.onboard_p50_ms = sample_quantile(onboard_ms, 0.50);
-  result.onboard_p99_ms = sample_quantile(onboard_ms, 0.99);
-  result.event_to_key_p50_ms = sample_quantile(event_to_key_ms, 0.50);
-  result.event_to_key_p99_ms = sample_quantile(event_to_key_ms, 0.99);
+  result.onboard_p50_ms = quantile(onboard_ms, 0.50);
+  result.onboard_p99_ms = quantile(onboard_ms, 0.99);
+  result.event_to_key_p50_ms = quantile(event_to_key_ms, 0.50);
+  result.event_to_key_p99_ms = quantile(event_to_key_ms, 0.99);
   const double makespan_s = result.virtual_makespan_ms / 1000.0;
   if (makespan_s > 0.0) {
     result.groups_per_sec =
@@ -182,11 +164,9 @@ ServerResult GroupServer::run() {
                             static_cast<double>(result.events_applied);
   }
   result.batch_event_to_key_p50_ms =
-      sample_quantile(batch_event_to_key_ms, 0.50);
+      quantile(batch_event_to_key_ms, 0.50);
   result.batch_event_to_key_p99_ms =
-      sample_quantile(batch_event_to_key_ms, 0.99);
-  result.shared_messages_stamped = shared_stats_.stamped_total();
-  result.shared_processes = shared_stats_.processes_total();
+      quantile(batch_event_to_key_ms, 0.99);
   if (ambient != nullptr) {
     ambient->counter("server/epochs").add(result.epochs_executed);
     ambient->counter("server/groups_hosted").add(result.groups_hosted);
@@ -262,9 +242,9 @@ obs::Json ServerResult::to_json(bool with_groups) const {
     row.set("groups", obs::Json(r.hosted));
     row.set("converged", obs::Json(r.converged));
     row.set("rekeys", obs::Json(r.rekeys));
-    row.set("onboard_p50_ms", obs::Json(sample_quantile(r.onboard_ms, 0.50)));
+    row.set("onboard_p50_ms", obs::Json(quantile(r.onboard_ms, 0.50)));
     row.set("event_to_key_p99_ms",
-            obs::Json(sample_quantile(r.event_to_key_ms, 0.99)));
+            obs::Json(quantile(r.event_to_key_ms, 0.99)));
     protos.push(std::move(row));
   }
   j.set("protocols", std::move(protos));
@@ -283,7 +263,7 @@ obs::Json ServerResult::to_json(bool with_groups) const {
       row.set("onboard_ms", obs::Json(g.onboard_ms));
       row.set("settled_ms", obs::Json(g.settled_ms));
       row.set("event_to_key_p99_ms",
-              obs::Json(sample_quantile(g.event_to_key_ms, 0.99)));
+              obs::Json(quantile(g.event_to_key_ms, 0.99)));
       row.set("fingerprint", obs::Json(g.fingerprint));
       rows.push(std::move(row));
     }

@@ -23,7 +23,6 @@
 #include "gcs/secure_group.h"
 #include "gcs/spread.h"
 #include "obs/json.h"
-#include "server/group_directory.h"
 #include "server/group_host.h"
 #include "server/shard_executor.h"
 #include "sim/topology.h"
@@ -39,8 +38,6 @@ struct ServerConfig {
   int churn_events = 4;
   int threads = 1;
   std::uint64_t seed = 1;
-  /// Groups onboard staggered: group g starts at g * onboard_gap_ms.
-  double onboard_gap_ms = 1.0;
   /// Virtual-time epoch window between executor barriers.
   double epoch_window_ms = 50.0;
   /// Protocol mix, assigned round-robin by group id.
@@ -54,16 +51,11 @@ struct ServerConfig {
   int machines_per_group = 4;
   /// Wire-fault rates applied inside every group's network.
   fault::FaultRates rates;
-  double min_gap_ms = 5.0;
-  double max_gap_ms = 40.0;
-  double grace_ms = 30000.0;
-  /// Churn schedule shape for every group (kUniform = legacy plans) and the
-  /// storm parameters the non-uniform shapes read (GroupSpec docs).
+  /// Churn schedule shape for every group (kUniform = legacy plans); a
+  /// bursty storm runs churn_events / burst_size bursts, so churn_events
+  /// must be a multiple of burst_size.
   StormKind storm = StormKind::kUniform;
-  double mean_gap_ms = 10.0;
   int burst_size = 8;
-  double intra_gap_ms = 1.0;
-  double idle_gap_ms = 400.0;
   /// Rekey batching applied to every group's network (default disabled).
   BatchConfig batch;
   /// Also fold each group's registry under a "group/<name>/" metric prefix
@@ -87,7 +79,7 @@ struct ServerResult {
   double event_to_key_p99_ms = 0.0;
   double groups_per_sec = 0.0;           // converged groups / virtual second
   double rekeys_per_sec = 0.0;           // rekeys / virtual second
-  std::uint64_t shared_messages_stamped = 0;  // SharedSpreadStats totals
+  std::uint64_t shared_messages_stamped = 0;  // transport totals, all groups
   std::uint64_t shared_processes = 0;
   // Rekey-pipeline rollup (all zeros when batching is disabled).
   std::uint64_t events_applied = 0;     // churn ops that took effect
@@ -116,8 +108,7 @@ struct ServerResult {
 class GroupServer {
   // Orchestrator state is main-thread-owned: workers only ever touch the
   // host slots of their shard (handed out via the epoch closure) plus the
-  // individually locked shared structures (Pki, GroupDirectory,
-  // SharedSpreadStats). The epoch barrier orders every slot hand-off.
+  // locked Pki. The epoch barrier orders every slot hand-off.
   SGK_CONFINED_TO_RUN;
 
  public:
@@ -132,20 +123,18 @@ class GroupServer {
   /// byte-identical results. Call once.
   ServerResult run();
 
-  const GroupDirectory& directory() const { return directory_; }
-  const SharedSpreadStats& shared_stats() const { return shared_stats_; }
-
   /// Process-id block width per group (first pid of group g is
   /// g * kPidStride), sized so no realistic churn schedule overflows it.
   static constexpr ProcessId kPidStride = 4096;
+
+  /// Groups onboard staggered: group g starts at g * kOnboardGapMs.
+  static constexpr double kOnboardGapMs = 1.0;
 
  private:
   GroupSpec spec_for(GroupId gid) const;
 
   ServerConfig config_;
   std::shared_ptr<Pki> pki_;
-  GroupDirectory directory_;
-  SharedSpreadStats shared_stats_;
   std::vector<std::unique_ptr<GroupHost>> hosts_;  // slot gid; shard-owned
   bool ran_ = false;
 };

@@ -1,6 +1,6 @@
 // Unit tests for the fault subsystem (src/fault): deterministic plans,
-// stateless per-copy wire verdicts, injector scheduling/bookkeeping, and the
-// chaos invariants. Everything here must be a pure function of the seed —
+// stateless per-copy wire verdicts, injector bookkeeping, and the chaos
+// invariants. Everything here must be a pure function of the seed —
 // that is the property that makes a chaos failure reproducible from its
 // report line alone.
 #include <gtest/gtest.h>
@@ -12,8 +12,6 @@
 #include "fault/injector.h"
 #include "fault/invariants.h"
 #include "fault/plan.h"
-#include "sim/fault_adapter.h"
-#include "sim/simulator.h"
 #include "util/check.h"
 #include "util/secure_bytes.h"
 
@@ -39,8 +37,8 @@ TEST(FaultPlan, ScriptKeepsOrderAndRejectsTimeRegression) {
 TEST(FaultPlan, RandomizeIsDeterministicInSeed) {
   FaultPlan a(42, FaultRates::uniform(0.1));
   FaultPlan b(42, FaultRates::uniform(0.1));
-  a.randomize(12, 50.0, 5.0, 40.0);
-  b.randomize(12, 50.0, 5.0, 40.0);
+  a.randomize(12, 50.0);
+  b.randomize(12, 50.0);
   ASSERT_EQ(a.ops().size(), b.ops().size());
   for (std::size_t i = 0; i < a.ops().size(); ++i)
     EXPECT_TRUE(same_op(a.ops()[i], b.ops()[i])) << "op " << i;
@@ -49,8 +47,8 @@ TEST(FaultPlan, RandomizeIsDeterministicInSeed) {
 TEST(FaultPlan, RandomizeDiffersAcrossSeeds) {
   FaultPlan a(1, FaultRates{});
   FaultPlan b(2, FaultRates{});
-  a.randomize(12, 50.0, 5.0, 40.0);
-  b.randomize(12, 50.0, 5.0, 40.0);
+  a.randomize(12, 50.0);
+  b.randomize(12, 50.0);
   bool differs = a.ops().size() != b.ops().size();
   for (std::size_t i = 0; !differs && i < a.ops().size(); ++i)
     differs = !same_op(a.ops()[i], b.ops()[i]);
@@ -60,7 +58,7 @@ TEST(FaultPlan, RandomizeDiffersAcrossSeeds) {
 TEST(FaultPlan, RandomizeRespectsGapsAndEndsHealed) {
   for (std::uint64_t seed = 0; seed < 32; ++seed) {
     FaultPlan plan(seed, FaultRates{});
-    plan.randomize(10, 50.0, 5.0, 40.0);
+    plan.randomize(10, 50.0);
     // Exactly the requested events, plus at most one trailing heal.
     ASSERT_GE(plan.ops().size(), 10u) << "seed " << seed;
     ASSERT_LE(plan.ops().size(), 11u) << "seed " << seed;
@@ -149,61 +147,6 @@ TEST(FaultPlan, UnicastFaultIsDelayOnly) {
   }
 }
 
-/// Records every applied op with the virtual time it fired at.
-class RecordingTarget final : public ChurnTarget {
- public:
-  explicit RecordingTarget(const Simulator& sim) : sim_(sim) {}
-  void apply(const ChurnOp& op) override {
-    fired_.push_back({sim_.now(), op.kind, op.arg});
-  }
-  const std::vector<ChurnOp>& fired() const { return fired_; }
-
- private:
-  const Simulator& sim_;
-  std::vector<ChurnOp> fired_;
-};
-
-TEST(FaultInjector, ArmSchedulesEveryOpOnVirtualTime) {
-  Simulator sim;
-  SimFaultScheduler sched(sim);
-  FaultPlan plan(1, FaultRates{});
-  plan.script(5.0, ChurnKind::kJoin, 10);
-  plan.script(12.0, ChurnKind::kLeave, 20);
-  FaultInjector injector(std::move(plan));
-  RecordingTarget target(sim);
-  injector.arm(sched, target);
-  sim.run();
-  ASSERT_EQ(target.fired().size(), 2u);
-  EXPECT_EQ(target.fired()[0].at_ms, 5.0);
-  EXPECT_EQ(target.fired()[0].kind, ChurnKind::kJoin);
-  EXPECT_EQ(target.fired()[0].arg, 10u);
-  EXPECT_EQ(target.fired()[1].at_ms, 12.0);
-  EXPECT_EQ(injector.stats().churn_applied, 2u);
-}
-
-TEST(FaultInjector, OpsAlreadyInThePastFireImmediately) {
-  Simulator sim;
-  SimFaultScheduler sched(sim);
-  FaultPlan plan(1, FaultRates{});
-  plan.script(5.0, ChurnKind::kRekey, 0);
-  FaultInjector injector(std::move(plan));
-  RecordingTarget target(sim);
-  // Arm after the op's scheduled time has already passed.
-  sim.after(20.0, [&] { injector.arm(sched, target); });
-  sim.run();
-  ASSERT_EQ(target.fired().size(), 1u);
-  EXPECT_EQ(target.fired()[0].at_ms, 20.0);
-}
-
-TEST(FaultInjector, ArmingTwiceIsACheckFailure) {
-  Simulator sim;
-  SimFaultScheduler sched(sim);
-  FaultInjector injector(FaultPlan(1, FaultRates{}));
-  RecordingTarget target(sim);
-  injector.arm(sched, target);
-  EXPECT_THROW(injector.arm(sched, target), CheckFailure);
-}
-
 TEST(FaultInjector, StatsTallyWireVerdicts) {
   FaultInjector injector(FaultPlan(3, FaultRates::uniform(1.0)));
   for (std::uint64_t seq = 0; seq < 10; ++seq)
@@ -216,7 +159,6 @@ TEST(FaultInjector, StatsTallyWireVerdicts) {
   EXPECT_EQ(s.duplicated, 10u);  // ... and duplicated
   EXPECT_EQ(s.unicasts, 2u);
   EXPECT_EQ(s.unicasts_delayed, 2u);
-  EXPECT_EQ(s.churn_applied, 0u);
 }
 
 SecureBytes key_bytes(std::uint8_t fill) {

@@ -8,21 +8,21 @@
 namespace sgk {
 namespace {
 
-FuzzConfig small_config(ProtocolKind protocol, std::uint64_t seed,
-                        double rate, bool verify_signatures,
-                        std::size_t group_size = 5, std::size_t events = 3) {
-  FuzzConfig cfg;
-  cfg.chaos.protocol = protocol;
-  cfg.chaos.seed = seed;
-  cfg.chaos.initial_size = group_size;
-  cfg.chaos.events = events;
-  cfg.chaos.mutation_rate = rate;
-  cfg.chaos.verify_signatures = verify_signatures;
+ChaosConfig small_config(ProtocolKind protocol, std::uint64_t seed,
+                         double rate, bool verify_signatures,
+                         std::size_t group_size = 5, std::size_t events = 3) {
+  ChaosConfig cfg;
+  cfg.protocol = protocol;
+  cfg.seed = seed;
+  cfg.initial_size = group_size;
+  cfg.events = events;
+  cfg.mutation_rate = rate;
+  cfg.verify_signatures = verify_signatures;
   return cfg;
 }
 
 TEST(FuzzHarness, DeterministicAcrossRuns) {
-  const FuzzConfig cfg = small_config(ProtocolKind::kGdh, 7, 0.05, true);
+  const ChaosConfig cfg = small_config(ProtocolKind::kGdh, 7, 0.05, true);
   const FuzzResult a = run_fuzz(cfg);
   const FuzzResult b = run_fuzz(cfg);
   EXPECT_EQ(a.survived, b.survived);
@@ -67,10 +67,10 @@ TEST(FuzzHarness, ZeroRateIsAnHonestChaosRun) {
 }
 
 TEST(FuzzHarness, WatchdogDefaultIsAppliedWithoutMutatingCallerConfig) {
-  FuzzConfig cfg = small_config(ProtocolKind::kGdh, 2, 0.05, true);
-  cfg.chaos.recovery_watchdog_ms = 0.0;
+  ChaosConfig cfg = small_config(ProtocolKind::kGdh, 2, 0.05, true);
+  cfg.recovery_watchdog_ms = 0.0;
   const FuzzResult r = run_fuzz(cfg);
-  EXPECT_EQ(cfg.chaos.recovery_watchdog_ms, 0.0);  // run_fuzz copies
+  EXPECT_EQ(cfg.recovery_watchdog_ms, 0.0);  // run_fuzz copies
   EXPECT_FALSE(r.crashed);
 }
 

@@ -1,9 +1,9 @@
 // src/server: the multi-group daemon. The headline contract under test is
 // determinism — a GroupServer run must produce byte-identical output for any
 // worker-thread count — plus the pieces that contract is built from: the
-// shard executor's epoch barrier, disjoint per-group process-id blocks, the
-// directory's ordered snapshots, and the Deployment every group (and every
-// chaos and experiment run) is driven through.
+// shard executor's epoch barrier, disjoint per-group process-id blocks, and
+// the Deployment every group (and every chaos and experiment run) is driven
+// through.
 #include "server/server.h"
 
 #include <gtest/gtest.h>
@@ -16,9 +16,9 @@
 #include "obs/metrics.h"
 #include "obs/run_report.h"
 #include "server/deployment.h"
-#include "server/group_directory.h"
 #include "server/shard_executor.h"
 #include "sim/topology.h"
+#include "util/check.h"
 
 namespace {
 
@@ -81,13 +81,12 @@ TEST(GroupServer, SmallFleetConvergesAndAggregates) {
   EXPECT_GT(result.key_installs, 0u);
   EXPECT_GT(result.virtual_makespan_ms, 0.0);
   EXPECT_GT(result.event_to_key_p99_ms, 0.0);
-  // Every group's network was absorbed into the shared (locked) stats.
-  EXPECT_EQ(server.shared_stats().networks_absorbed(), 6u);
-  EXPECT_GT(server.shared_stats().stamped_total(), 0u);
-  EXPECT_GE(server.shared_stats().processes_total(), 6u * 3u);
-  // And the directory saw every group settle.
-  EXPECT_EQ(server.directory().group_count(), 6u);
-  EXPECT_EQ(server.directory().count(GroupState::kSettled), 6u);
+  // Transport totals are summed over every group's own report.
+  std::uint64_t stamped = 0;
+  for (const GroupReport& g : result.groups) stamped += g.messages_stamped;
+  EXPECT_GT(stamped, 0u);
+  EXPECT_EQ(result.shared_messages_stamped, stamped);
+  EXPECT_GE(result.shared_processes, 6u * 3u);
 }
 
 // Disjoint per-group process-id blocks: no pid appears in two groups, and
@@ -151,6 +150,50 @@ TEST(Deployment, ApplyVerdictsOnAScriptedOpList) {
   }
   // Joins, leave, crash, rekey and the heal each re-keyed the group.
   EXPECT_GE(audit.final_epoch, 7u);
+}
+
+// Deployment::schedule is where a churn plan meets the simulator: every op
+// fires at its own virtual time, same-instant ops in plan order, and the
+// listener sees each op with its apply verdict. An op already in the past
+// is rejected rather than fired late.
+TEST(Deployment, ScheduleFiresEveryOpAtItsVirtualTime) {
+  using fault::ChurnKind;
+  using fault::ChurnOp;
+  Deployment d(lan_testbed(2), SpreadParams{}, MemberConfig{});
+  struct Fired {
+    SimTime now;
+    ChurnOp op;
+    bool applied;
+  };
+  std::vector<Fired> fired;
+  const auto record = [&](const ChurnOp& op, bool applied) {
+    fired.push_back({d.sim().now(), op, applied});
+  };
+  const std::vector<ChurnOp> ops = {
+      {5.0, ChurnKind::kJoin, 10},
+      {5.0, ChurnKind::kJoin, 11},
+      {12.0, ChurnKind::kLeave, 20},  // two members: skipped
+      {30.0, ChurnKind::kJoin, 30},
+      {400.0, ChurnKind::kRekey, 7},
+  };
+  d.schedule(ops, record);
+  d.sim().run();
+
+  ASSERT_EQ(fired.size(), ops.size());
+  const bool expect_applied[] = {true, true, false, true, true};
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    EXPECT_EQ(fired[i].now, ops[i].at_ms) << "op " << i;
+    EXPECT_EQ(fired[i].op.at_ms, ops[i].at_ms) << "op " << i;
+    EXPECT_EQ(fired[i].op.kind, ops[i].kind) << "op " << i;
+    EXPECT_EQ(fired[i].op.arg, ops[i].arg) << "op " << i;
+    EXPECT_EQ(fired[i].applied, expect_applied[i]) << "op " << i;
+  }
+  EXPECT_EQ(d.alive().size(), 3u);
+
+  ASSERT_GT(d.sim().now(), 5.0);
+  EXPECT_THROW(d.schedule({{5.0, ChurnKind::kHeal, 0}}, record),
+               CheckFailure);
+  EXPECT_EQ(d.sim().pending(), 0u);
 }
 
 // The split point is 1 + arg % (machines - 1); with one machine there is
@@ -217,41 +260,6 @@ TEST(ShardExecutor, SingleThreadRunsInline) {
     seen = std::this_thread::get_id();
   });
   EXPECT_EQ(seen, caller);
-}
-
-TEST(GroupDirectory, SnapshotIsAscendingById) {
-  GroupDirectory dir;
-  for (GroupId id : {7u, 1u, 4u}) {
-    GroupSpec spec;
-    spec.id = id;
-    spec.name = "g" + std::to_string(id);
-    dir.register_group(spec);
-  }
-  EXPECT_EQ(dir.group_count(), 3u);
-  EXPECT_EQ(dir.count(GroupState::kPending), 3u);
-
-  GroupStatus active;
-  active.state = GroupState::kActive;
-  active.epoch = 2;
-  dir.update(4, active);
-  EXPECT_EQ(dir.count(GroupState::kPending), 2u);
-  EXPECT_EQ(dir.count(GroupState::kActive), 1u);
-
-  const auto snap = dir.snapshot();
-  ASSERT_EQ(snap.size(), 3u);
-  EXPECT_EQ(snap[0].first.id, 1u);
-  EXPECT_EQ(snap[1].first.id, 4u);
-  EXPECT_EQ(snap[2].first.id, 7u);
-  EXPECT_EQ(snap[1].second.state, GroupState::kActive);
-  EXPECT_EQ(snap[1].second.epoch, 2u);
-}
-
-TEST(GroupDirectory, StateNamesRoundTrip) {
-  EXPECT_STREQ(to_string(GroupState::kPending), "pending");
-  EXPECT_STREQ(to_string(GroupState::kOnboarding), "onboarding");
-  EXPECT_STREQ(to_string(GroupState::kActive), "active");
-  EXPECT_STREQ(to_string(GroupState::kSettled), "settled");
-  EXPECT_STREQ(to_string(GroupState::kFailed), "failed");
 }
 
 }  // namespace
