@@ -1,6 +1,8 @@
 #include "core/crypto_context.h"
 
 #include "bignum/modmath.h"
+#include "core/verify_memo.h"
+#include "crypto/sha256.h"
 #include "obs/wallclock.h"
 #include "util/serde.h"
 
@@ -82,23 +84,28 @@ bool CryptoContext::verify(const VerifyKey& pub, const Bytes& message,
   obs::WallScope wall("crypto/verify");
   ++counters_.verify_ops;
   ++counters_.hash_ops;
-  if (const auto* dsa = std::get_if<DsaPublicKey>(&pub)) {
+  const auto* dsa = std::get_if<DsaPublicKey>(&pub);
+  const auto* rsa = std::get_if<RsaPublicKey>(&pub);
+  if (dsa != nullptr) {
     // Two full exponentiations — the paper's "expensive verification".
     meter_ms_ += 2 * cost_.mod_exp_ms(group_.p_bits(), group_.q().bit_length()) +
                  cost_.modinv_ms + cost_.sha256_ms(message.size());
+  } else {
+    // Public exponents are small (e=3 by default): ~log2(e) multiplies.
+    std::size_t e_bits = 0;
+    for (std::uint64_t e = rsa->e(); e != 0; e >>= 1) ++e_bits;
+    meter_ms_ += cost_.rsa_verify_ms(rsa->n().bit_length(), e_bits) +
+                 cost_.sha256_ms(message.size());
+  }
+  const Bytes digest = Sha256::digest(message);
+  return memo_.check(pub, digest, sig, [&] {
+    if (rsa != nullptr) return rsa->verify_digest(digest, sig);
     try {
-      return dsa->verify(message, dsa_signature_from_bytes(sig));
+      return dsa->verify_digest(digest, dsa_signature_from_bytes(sig));
     } catch (const DecodeError&) {
       return false;
     }
-  }
-  const RsaPublicKey& rsa = std::get<RsaPublicKey>(pub);
-  // Public exponents are small (e=3 by default): ~log2(e) multiplies.
-  std::size_t e_bits = 0;
-  for (std::uint64_t e = rsa.e(); e != 0; e >>= 1) ++e_bits;
-  meter_ms_ += cost_.rsa_verify_ms(rsa.n().bit_length(), e_bits) +
-               cost_.sha256_ms(message.size());
-  return rsa.verify(message, sig);
+  });
 }
 
 void CryptoContext::charge_symmetric(std::size_t bytes) {

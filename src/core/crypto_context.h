@@ -4,7 +4,9 @@
 // (a) executes the real big-number operation, (b) counts it for the
 // conceptual-cost experiments, and (c) charges its modeled cost to the
 // member's accumulated compute meter, which the SecureGroupMember turns into
-// virtual CPU time on the member's machine.
+// virtual CPU time on the member's machine. Signature checks also consult the
+// deployment's VerifyMemo (core/verify_memo.h) after they are counted and
+// charged, so a repeated check costs host time once and virtual time always.
 #pragma once
 
 #include <optional>
@@ -33,12 +35,17 @@ enum class SigScheme { kRsa, kDsa };
 /// are still verified after it is destroyed).
 using VerifyKey = std::variant<RsaPublicKey, DsaPublicKey>;
 
+class VerifyMemo;
+
 class CryptoContext {
  public:
+  /// `memo` is shared by every context of one deployment and must outlive
+  /// this one.
   CryptoContext(const DhGroup& group, const RsaPrivateKey& rsa,
-                CostModel cost, Drbg rng, SigScheme scheme = SigScheme::kRsa)
+                CostModel cost, Drbg rng, VerifyMemo& memo,
+                SigScheme scheme = SigScheme::kRsa)
       : group_(group), rsa_(rsa), cost_(cost), rng_(std::move(rng)),
-        scheme_(scheme) {
+        memo_(memo), scheme_(scheme) {
     if (scheme_ == SigScheme::kDsa) dsa_.emplace(group_, rng_);
     // Long-term key generation above is setup, not protocol cost.
     last_drbg_ = rng_.bytes_generated();
@@ -71,6 +78,9 @@ class CryptoContext {
   BigInt to_exponent(const BigInt& v) const { return group_.to_exponent(v); }
 
   Bytes sign(const Bytes& message);
+  /// Counted and charged on every call; the modexp runs only when the memo
+  /// does not already hold this exact (`pub`, message, sig) as valid. `pub`
+  /// must stay at its address for the memo's lifetime (a Pki entry).
   bool verify(const VerifyKey& pub, const Bytes& message, const Bytes& sig);
 
   /// Charges symmetric-crypto time (group data encryption, KDF).
@@ -101,6 +111,7 @@ class CryptoContext {
   const RsaPrivateKey& rsa_;
   CostModel cost_;
   Drbg rng_;
+  VerifyMemo& memo_;
   SigScheme scheme_;
   std::optional<DsaPrivateKey> dsa_;
   OpCounters counters_;

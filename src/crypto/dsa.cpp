@@ -8,9 +8,9 @@
 namespace sgk {
 
 namespace {
-/// Hash of the message reduced into the exponent field Z_q.
-BigInt hash_to_zq(const Bytes& message, const BigInt& q) {
-  return BigInt::from_bytes(Sha256::digest(message)) % q;
+/// A message digest reduced into the exponent field Z_q.
+BigInt digest_to_zq(const Bytes& digest, const BigInt& q) {
+  return BigInt::from_bytes(digest) % q;
 }
 }  // namespace
 
@@ -21,7 +21,7 @@ DsaPrivateKey::DsaPrivateKey(const DhGroup& group, RandomSource& rng)
 
 DsaSignature DsaPrivateKey::sign(const Bytes& message, RandomSource& rng) const {
   const BigInt& q = group_.q();
-  const BigInt h = hash_to_zq(message, q);
+  const BigInt h = digest_to_zq(Sha256::digest(message), q);
   for (;;) {
     const SecureBigInt k = group_.random_exponent(rng);
     const BigInt r = group_.exp_g(k) % q;
@@ -34,9 +34,14 @@ DsaSignature DsaPrivateKey::sign(const Bytes& message, RandomSource& rng) const 
 }
 
 bool DsaPublicKey::verify(const Bytes& message, const DsaSignature& sig) const {
+  return verify_digest(Sha256::digest(message), sig);
+}
+
+bool DsaPublicKey::verify_digest(const Bytes& digest,
+                                 const DsaSignature& sig) const {
   const BigInt& q = group_.q();
   if (sig.r.is_zero() || sig.r >= q || sig.s.is_zero() || sig.s >= q) return false;
-  const BigInt h = hash_to_zq(message, q);
+  const BigInt h = digest_to_zq(digest, q);
   BigInt w;
   try {
     w = mod_inverse(sig.s, q);

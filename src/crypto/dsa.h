@@ -26,6 +26,9 @@ class DsaPublicKey {
 
   /// Verification: two full-size exponentiations (the expensive part).
   bool verify(const Bytes& message, const DsaSignature& sig) const;
+  /// The same check given SHA-256(message), which is all of the message
+  /// DSA reads.
+  bool verify_digest(const Bytes& digest, const DsaSignature& sig) const;
 
   const BigInt& y() const { return y_; }
   const DhGroup& group() const { return group_; }

@@ -76,11 +76,11 @@ constexpr TestKeyHex kTestKeys[4] = {
      "3a611a71d02951f3bfd2f99b9ad007ad6a68bdc0a5123d09e9240051"}};
 }  // namespace
 
-Bytes pkcs1_encode_sha256(const Bytes& message, std::size_t em_len) {
-  const Bytes digest = Sha256::digest(message);
+Bytes pkcs1_encode_digest(const Bytes& digest, std::size_t em_len) {
+  SGK_CHECK(digest.size() == Sha256::kDigestSize);
   const std::size_t t_len = sizeof(kSha256Prefix) + digest.size();
   if (em_len < t_len + 11)
-    throw std::invalid_argument("pkcs1_encode_sha256: modulus too small");
+    throw std::invalid_argument("pkcs1_encode_digest: modulus too small");
   Bytes em(em_len, 0xff);
   em[0] = 0x00;
   em[1] = 0x01;
@@ -92,12 +92,21 @@ Bytes pkcs1_encode_sha256(const Bytes& message, std::size_t em_len) {
   return em;
 }
 
+Bytes pkcs1_encode_sha256(const Bytes& message, std::size_t em_len) {
+  return pkcs1_encode_digest(Sha256::digest(message), em_len);
+}
+
 RsaPublicKey::RsaPublicKey(BigInt n, std::uint64_t e)
     : n_(std::move(n)), e_(e), ctx_(n_) {
   SGK_CHECK(e_ >= 3 && (e_ & 1) != 0);
 }
 
 bool RsaPublicKey::verify(const Bytes& message, const Bytes& signature) const {
+  return verify_digest(Sha256::digest(message), signature);
+}
+
+bool RsaPublicKey::verify_digest(const Bytes& digest,
+                                 const Bytes& signature) const {
   if (signature.size() != modulus_bytes()) return false;
   const BigInt s = BigInt::from_bytes(signature);
   if (s >= n_) return false;
@@ -108,7 +117,7 @@ bool RsaPublicKey::verify(const Bytes& message, const Bytes& signature) const {
   } catch (const std::length_error&) {
     return false;
   }
-  const Bytes expected = pkcs1_encode_sha256(message, modulus_bytes());
+  const Bytes expected = pkcs1_encode_digest(digest, modulus_bytes());
   return ct_equal(em, expected);
 }
 

@@ -25,6 +25,9 @@ class RsaPublicKey {
   /// Verifies a PKCS#1 v1.5 SHA-256 signature. Never throws on mere
   /// signature mismatch; returns false.
   bool verify(const Bytes& message, const Bytes& signature) const;
+  /// The same check given SHA-256(message), which is all of the message
+  /// the PKCS#1 v1.5 encoding reads.
+  bool verify_digest(const Bytes& digest, const Bytes& signature) const;
 
  private:
   BigInt n_;
@@ -59,8 +62,11 @@ class RsaPrivateKey {
   MontgomeryCtx ctx_p_, ctx_q_;
 };
 
-/// The PKCS#1 v1.5 DigestInfo encoding of SHA-256(message), padded to
-/// `em_len` bytes. Exposed for tests.
+/// The PKCS#1 v1.5 DigestInfo encoding of a SHA-256 `digest`, padded to
+/// `em_len` bytes.
+Bytes pkcs1_encode_digest(const Bytes& digest, std::size_t em_len);
+
+/// pkcs1_encode_digest of SHA-256(message). Exposed for tests.
 Bytes pkcs1_encode_sha256(const Bytes& message, std::size_t em_len);
 
 }  // namespace sgk

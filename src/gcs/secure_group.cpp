@@ -57,7 +57,7 @@ SecureGroupMember::SecureGroupMember(SpreadNetwork& net, ProcessId self,
               config_.rsa ? *config_.rsa : default_rsa(self),
               config_.cost,
               Drbg(config_.seed * 0x9e3779b97f4a7c15ULL + self, "member"),
-              config_.signature) {
+              net_.verify_memo(), config_.signature) {
   pki_->enroll(self_, crypto_.verify_key());
   net_.attach(self_, this);
   protocol_ = make_protocol(config_.protocol, *this);

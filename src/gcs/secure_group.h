@@ -25,6 +25,7 @@
 #include "core/key_agreement.h"
 #include "gcs/spread.h"
 #include "core/cost_model.h"
+#include "util/check.h"
 #include "util/secure_bytes.h"
 #include "util/thread_annotations.h"
 
@@ -40,20 +41,20 @@ class Pki {
   // groups (SpreadParams::first_process_id), so entries never collide.
 
  public:
+  /// Enrolls `p`'s key. A process id is enrolled at most once per run;
+  /// enrolling it again is a CheckFailure.
   void enroll(ProcessId p, VerifyKey key) SGK_EXCLUDES(pki_mu_) {
     std::lock_guard<std::mutex> lock(pki_mu_);
     // Owned copies: verification must keep working for messages from members
-    // that have since been destroyed. (DsaPublicKey holds a reference and is
-    // not assignable, hence erase + emplace.)
-    keys_.erase(p);
-    keys_.emplace(p, std::move(key));
+    // that have since been destroyed.
+    SGK_CHECK(keys_.emplace(p, std::move(key)).second);
   }
   const VerifyKey* find(ProcessId p) const SGK_EXCLUDES(pki_mu_) {
     std::lock_guard<std::mutex> lock(pki_mu_);
     // Returning a pointer out of the lock is sound: std::map nodes are
-    // pointer-stable, a process id is enrolled at most once per run, and
-    // enroll() never mutates an existing node (erase of an absent key is a
-    // no-op by the uniqueness invariant above).
+    // pointer-stable and enroll() never replaces or erases a node, so an
+    // entry keeps its address and value for the Pki's lifetime. Each
+    // network's VerifyMemo identifies keys by exactly this address.
     auto it = keys_.find(p);
     return it == keys_.end() ? nullptr : &it->second;
   }

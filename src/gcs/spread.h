@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "core/verify_memo.h"
 #include "core/view.h"
 #include "fault/hooks.h"
 #include "gcs/rekey_batcher.h"
@@ -162,6 +163,12 @@ class SpreadNetwork {
   RekeyBatcher* batcher() { return batcher_.get(); }
   const RekeyBatcher* batcher() const { return batcher_.get(); }
 
+  /// The signature checks this network's members have passed. Every member
+  /// verifies through it, so each signed frame costs one modexp per
+  /// deployment rather than one per receiver.
+  VerifyMemo& verify_memo() { return verify_memo_; }
+  const VerifyMemo& verify_memo() const { return verify_memo_; }
+
  private:
   struct Payload {
     enum Kind { kData, kView } kind = kData;
@@ -268,6 +275,7 @@ class SpreadNetwork {
   std::function<void(const std::string&, ProcessId, const Bytes&)> wire_tap_;
   fault::WireFaultHook* fault_hook_ = nullptr;
   std::unique_ptr<RekeyBatcher> batcher_;  // non-null iff params_.batch.enabled
+  VerifyMemo verify_memo_;
   std::uint64_t unicast_mutation_units_ = 0;  // see unicast() mutation point
 };
 

@@ -9,6 +9,20 @@ namespace {
 
 using testing::ProtocolFixture;
 
+// Each network's VerifyMemo identifies a key by its Pki entry's address, so
+// an entry must never be replaced: a second enrollment of one process id is
+// refused and the first key stays in place.
+TEST(Pki, EnrollingAProcessTwiceIsACheckFailure) {
+  Pki pki;
+  pki.enroll(7, RsaPrivateKey::test_key(0).public_key());
+  const VerifyKey* first = pki.find(7);
+  EXPECT_THROW(pki.enroll(7, RsaPrivateKey::test_key(1).public_key()),
+               CheckFailure);
+  EXPECT_EQ(pki.find(7), first);
+  EXPECT_EQ(std::get<RsaPublicKey>(*first).n(),
+            RsaPrivateKey::test_key(0).public_key().n());
+}
+
 TEST(SecureGroup, DataBeforeKeyIsRejected) {
   ProtocolFixture f(ProtocolKind::kTgdh);
   f.grow_to(2);

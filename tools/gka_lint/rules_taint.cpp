@@ -70,10 +70,14 @@ const char* const kBoundaries[] = {
     "Drbg",           "mod_exp",            "wipe",
     // The modular-exponentiation kernels (Montgomery::exp, the
     // CryptoContext::exp/exp_g wrappers): passing a secret exponent into
-    // modexp is the *intended* use of the secret, and the kernel's interior
-    // square-and-multiply loop is the audited constant-time boundary — the
-    // GKA6xx rules stop at its signature rather than flagging every
-    // protocol-layer exp(g, secret) call.
+    // modexp is the *intended* use of the secret, so the taint and GKA6xx
+    // rules stop at their signature rather than flagging every
+    // protocol-layer exp(g, secret) call. That is a scoping decision, not a
+    // timing claim: the kernel is a variable-time sliding window — it
+    // branches on exponent bits, indexes its table by them, and ends
+    // mont_mul with a data-dependent subtraction. A constant-time secret
+    // path is open work (ROADMAP.md, "Split modexp into a fast public path
+    // and a truly constant-time secret path").
     "exp",            "exp_g",
 };
 
