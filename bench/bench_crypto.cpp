@@ -9,6 +9,7 @@
 #include <benchmark/benchmark.h>
 
 #include "bignum/modmath.h"
+#include "bignum/montgomery.h"
 #include "bignum/prime.h"
 #include "crypto/aes.h"
 #include "crypto/dh.h"
@@ -20,21 +21,40 @@
 namespace sgk {
 namespace {
 
-void BM_ModExp512_Short(benchmark::State& state) {
-  const DhGroup& grp = dh_group(DhBits::k512);
+// g^e for a session exponent: the fixed-base table path.
+void BM_ExpG(benchmark::State& state, DhBits bits) {
+  const DhGroup& grp = dh_group(bits);
   Drbg rng(1, "bench");
   BigInt e = grp.random_exponent(rng);
   for (auto _ : state) benchmark::DoNotOptimize(grp.exp_g(e));
 }
-BENCHMARK(BM_ModExp512_Short);
+BENCHMARK_CAPTURE(BM_ExpG, 512, DhBits::k512);
+BENCHMARK_CAPTURE(BM_ExpG, 1024, DhBits::k1024);
 
-void BM_ModExp1024_Short(benchmark::State& state) {
-  const DhGroup& grp = dh_group(DhBits::k1024);
+// b^e for a random group element b and a session exponent: the
+// sliding-window path every non-g exponentiation takes.
+void BM_ModExp(benchmark::State& state, DhBits bits) {
+  const DhGroup& grp = dh_group(bits);
   Drbg rng(2, "bench");
+  BigInt base = grp.exp_g(grp.random_exponent(rng));
   BigInt e = grp.random_exponent(rng);
-  for (auto _ : state) benchmark::DoNotOptimize(grp.exp_g(e));
+  for (auto _ : state) benchmark::DoNotOptimize(grp.exp(base, e));
 }
-BENCHMARK(BM_ModExp1024_Short);
+BENCHMARK_CAPTURE(BM_ModExp, 512, DhBits::k512);
+BENCHMARK_CAPTURE(BM_ModExp, 1024, DhBits::k1024);
+
+// One modular multiply through MontgomeryCtx::mul: two kernel multiplies,
+// a * b * R^-1 and then a multiply by R^2 mod n.
+void BM_MontMul(benchmark::State& state, DhBits bits) {
+  const DhGroup& grp = dh_group(bits);
+  const MontgomeryCtx ctx(grp.p());
+  Drbg rng(6, "bench");
+  BigInt a = BigInt::random_below(grp.p(), rng);
+  BigInt b = BigInt::random_below(grp.p(), rng);
+  for (auto _ : state) benchmark::DoNotOptimize(ctx.mul(a, b));
+}
+BENCHMARK_CAPTURE(BM_MontMul, 512, DhBits::k512);
+BENCHMARK_CAPTURE(BM_MontMul, 1024, DhBits::k1024);
 
 void BM_ModExp512_SmallExponent(benchmark::State& state) {
   // BD's step-3 "hidden cost" exponentiations: exponent < group size.
@@ -62,6 +82,7 @@ void BM_RsaVerify1024_E3(benchmark::State& state) {
 }
 BENCHMARK(BM_RsaVerify1024_E3);
 
+// Inverse mod q by extended Euclid (DSA, inverse mod p) ...
 void BM_ModInverseQ(benchmark::State& state) {
   const DhGroup& grp = dh_group(DhBits::k512);
   Drbg rng(4, "bench");
@@ -69,6 +90,15 @@ void BM_ModInverseQ(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(mod_inverse(a, grp.q()));
 }
 BENCHMARK(BM_ModInverseQ);
+
+// ... and by Fermat under the group's cached q context (GDH, CKD).
+void BM_InverseQ(benchmark::State& state) {
+  const DhGroup& grp = dh_group(DhBits::k512);
+  Drbg rng(4, "bench");
+  BigInt a = grp.random_exponent(rng);
+  for (auto _ : state) benchmark::DoNotOptimize(grp.inverse_q(a));
+}
+BENCHMARK(BM_InverseQ);
 
 void BM_Sha256(benchmark::State& state) {
   Bytes data(static_cast<std::size_t>(state.range(0)), 0xab);

@@ -23,8 +23,7 @@ SecureBigInt CryptoContext::random_exponent() {
   return e;
 }
 
-BigInt CryptoContext::exp(const BigInt& base, const BigInt& e) {
-  const std::size_t ebits = e.bit_length();
+const char* CryptoContext::book_exp(std::size_t ebits) {
   // The paper's accounting treats anything with a session-exponent-sized
   // exponent as a "full" exponentiation; BD's step-3 exponents (< group
   // size) are the "small" ones.
@@ -33,18 +32,24 @@ BigInt CryptoContext::exp(const BigInt& base, const BigInt& e) {
   else
     ++counters_.exp_small;
   meter_ms_ += cost_.mod_exp_ms(group_.p_bits(), ebits);
-  obs::WallScope wall(ebits >= 64 ? "bignum/modexp_full"
-                                  : "bignum/modexp_small");
+  return ebits >= 64 ? "bignum/modexp_full" : "bignum/modexp_small";
+}
+
+BigInt CryptoContext::exp(const BigInt& base, const BigInt& e) {
+  obs::WallScope wall(book_exp(e.bit_length()));
   return group_.exp(base, e);
 }
 
-BigInt CryptoContext::exp_g(const BigInt& e) { return exp(group_.g(), e); }
+BigInt CryptoContext::exp_g(const BigInt& e) {
+  obs::WallScope wall(book_exp(e.bit_length()));
+  return group_.exp_g(e);
+}
 
 BigInt CryptoContext::inverse_q(const BigInt& a) {
   ++counters_.mod_inverse;
   meter_ms_ += cost_.modinv_ms;
   obs::WallScope wall("bignum/modinv");
-  return mod_inverse(a, group_.q());
+  return group_.inverse_q(a);
 }
 
 BigInt CryptoContext::inverse_p(const BigInt& a) {

@@ -65,7 +65,8 @@ class CryptoContext {
   /// (base ^ e) mod p; counted as a full or small exponentiation by the
   /// exponent's bit length.
   BigInt exp(const BigInt& base, const BigInt& e);
-  /// g ^ e mod p.
+  /// g ^ e mod p, through the group's fixed-base table; counted and
+  /// charged exactly as exp(g, e).
   BigInt exp_g(const BigInt& e);
 
   /// Inverse of an exponent modulo q (GDH factor-out, CKD unwrap).
@@ -100,6 +101,9 @@ class CryptoContext {
   }
 
  private:
+  /// Counts and charges one exponentiation with an `ebits`-bit exponent;
+  /// returns its wall-clock site.
+  const char* book_exp(std::size_t ebits);
   /// Folds bytes drawn from the DRBG since the last sync into the counters.
   void sync_drbg() {
     const std::uint64_t total = rng_.bytes_generated();

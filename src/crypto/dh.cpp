@@ -1,6 +1,7 @@
 #include "crypto/dh.h"
 
-#include "bignum/modmath.h"
+#include <stdexcept>
+
 #include "util/check.h"
 
 namespace sgk {
@@ -30,9 +31,15 @@ constexpr const char* kG1024 =
 }  // namespace
 
 DhGroup::DhGroup(BigInt p, BigInt q, BigInt g)
-    : p_(std::move(p)), q_(std::move(q)), g_(std::move(g)), ctx_(p_) {
+    : p_(std::move(p)),
+      q_(std::move(q)),
+      g_(std::move(g)),
+      ctx_(p_),
+      g_table_(ctx_.fixed_base(g_, q_.bit_length())),
+      q_ctx_(q_),
+      q_minus_2_(q_ - BigInt(2)) {
   SGK_CHECK((p_ - BigInt(1)) % q_ == BigInt(0));
-  SGK_CHECK(mod_exp(g_, q_, p_) == BigInt(1));
+  SGK_CHECK(ctx_.exp(g_, q_) == BigInt(1));
   SGK_CHECK(g_ != BigInt(1));
 }
 
@@ -40,7 +47,13 @@ BigInt DhGroup::exp(const BigInt& base, const BigInt& e) const {
   return ctx_.exp(base, e);
 }
 
-BigInt DhGroup::exp_g(const BigInt& e) const { return ctx_.exp(g_, e); }
+BigInt DhGroup::exp_g(const BigInt& e) const { return ctx_.exp(g_table_, e); }
+
+BigInt DhGroup::inverse_q(const BigInt& a) const {
+  BigInt inv = q_ctx_.exp(a, q_minus_2_);
+  if (inv.is_zero()) throw std::domain_error("inverse_q: not invertible");
+  return inv;
+}
 
 SecureBigInt DhGroup::random_exponent(RandomSource& rng) const {
   for (;;) {
@@ -58,12 +71,16 @@ BigInt DhGroup::to_exponent(const BigInt& value) const {
 }
 
 const DhGroup& dh_group(DhBits bits) {
-  static const DhGroup group512(BigInt::from_hex(kP512), BigInt::from_hex(kQ512),
-                                BigInt::from_hex(kG512));
+  if (bits == DhBits::k512) {
+    static const DhGroup group512(BigInt::from_hex(kP512),
+                                  BigInt::from_hex(kQ512),
+                                  BigInt::from_hex(kG512));
+    return group512;
+  }
   static const DhGroup group1024(BigInt::from_hex(kP1024),
                                  BigInt::from_hex(kQ1024),
                                  BigInt::from_hex(kG1024));
-  return bits == DhBits::k512 ? group512 : group1024;
+  return group1024;
 }
 
 }  // namespace sgk

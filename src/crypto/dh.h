@@ -16,8 +16,9 @@ namespace sgk {
 /// Modulus sizes the paper evaluates.
 enum class DhBits { k512, k1024 };
 
-/// A fixed, precomputed DH group (p, q, g) with a Montgomery context for p.
-/// Instances are immutable and shared; obtain them via dh_group().
+/// A fixed, precomputed DH group (p, q, g): Montgomery contexts for p and q
+/// and a fixed-base table for g, all built by the constructor. Instances are
+/// immutable and shared; obtain them via dh_group().
 class DhGroup {
  public:
   DhGroup(BigInt p, BigInt q, BigInt g);
@@ -29,8 +30,13 @@ class DhGroup {
 
   /// (base ^ exp) mod p via the precomputed Montgomery context.
   BigInt exp(const BigInt& base, const BigInt& e) const;
-  /// g ^ e mod p.
+  /// g ^ e mod p. Exponents of at most |q| bits read the fixed-base table
+  /// (at most ceil(|q|/4) multiplies, no squarings); longer ones fall back
+  /// to exp(g, e).
   BigInt exp_g(const BigInt& e) const;
+  /// a^{-1} mod q, as a^(q-2) (Fermat). Throws std::domain_error when
+  /// a = 0 mod q.
+  BigInt inverse_q(const BigInt& a) const;
 
   /// Random secret exponent in [1, q). Returned in zeroizing storage; store
   /// it in a SecureBigInt (or read it once and let the temporary wipe).
@@ -46,10 +52,14 @@ class DhGroup {
   BigInt q_;
   BigInt g_;
   MontgomeryCtx ctx_;
+  FixedBase g_table_;
+  MontgomeryCtx q_ctx_;
+  BigInt q_minus_2_;
 };
 
 /// Shared fixed groups (generated once with this library's own
-/// generate_schnorr_group; see tools/ for provenance).
+/// generate_schnorr_group; see tools/ for provenance). Each group is built
+/// on its first request.
 const DhGroup& dh_group(DhBits bits);
 
 }  // namespace sgk

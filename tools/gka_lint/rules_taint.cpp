@@ -68,16 +68,18 @@ const char* const kBoundaries[] = {
     "aes128_cbc_decrypt", "ChaCha20",       "Sha256",
     "SecureBytes",    "SecureBigInt",       "ScopedSubkey",
     "Drbg",           "mod_exp",            "wipe",
-    // The modular-exponentiation kernels (Montgomery::exp, the
-    // CryptoContext::exp/exp_g wrappers): passing a secret exponent into
-    // modexp is the *intended* use of the secret, so the taint and GKA6xx
-    // rules stop at their signature rather than flagging every
-    // protocol-layer exp(g, secret) call. That is a scoping decision, not a
-    // timing claim: the kernel is a variable-time sliding window — it
-    // branches on exponent bits, indexes its table by them, and ends
-    // mont_mul with a data-dependent subtraction. A constant-time secret
-    // path is open work (ROADMAP.md, "Split modexp into a fast public path
-    // and a truly constant-time secret path").
+    // The modular-exponentiation kernels (MontgomeryCtx::exp, DhGroup's
+    // exp/exp_g, the CryptoContext::exp/exp_g wrappers): passing a secret
+    // exponent into modexp is the *intended* use of the secret, so the
+    // taint and GKA6xx rules stop at their signature rather than flagging
+    // every protocol-layer exp(g, secret) call. That is a scoping decision,
+    // not a timing claim: the kernel is a variable-time sliding window — it
+    // branches on exponent bits, indexes its table by them, and ends every
+    // Montgomery multiply with a data-dependent subtraction. exp_g is
+    // variable-time too: it reads the fixed-base table for g at
+    // secret-digit indices and skips zero digits. A constant-time secret
+    // path is open work (ROADMAP.md item 1, "Split modexp into public,
+    // secret and fixed-base paths").
     "exp",            "exp_g",
 };
 
