@@ -99,8 +99,7 @@ int main(int argc, char** argv) {
     params.set("window_max_ms", sgk::obs::Json(window_max_ms));
     params.set("latency_budget_ms", sgk::obs::Json(budget_ms));
     // Deliberately no thread count here: the deterministic sections must be
-    // byte-identical for any --threads/--scale (it is recorded in the
-    // "wallclock" env instead, where bench_gate checks it).
+    // byte-identical for any --threads/--scale.
     report.add_section("params", std::move(params));
   }
 

@@ -8,8 +8,8 @@
 // event-to-key latency under contention. With --wallclock the bench also
 // measures real host seconds per thread count and prints the scaling
 // table (speedup and efficiency vs. the single-threaded run); wall numbers
-// live only in the stdout table and the report's "wallclock" section, so
-// the deterministic sections stay byte-identical across thread counts.
+// live only on stdout, so the report stays byte-identical across thread
+// counts and with or without --wallclock.
 //
 // Unless --threads pins a single count, the bench sweeps --scale (default
 // 1,2,4,8) over the same scenario and verifies that every run's canonical
@@ -67,8 +67,7 @@ int main(int argc, char** argv) {
     params.set("window_ms", sgk::obs::Json(window_ms));
     params.set("fault_rate", sgk::obs::Json(fault_rate));
     // Deliberately no thread count here: the deterministic sections must be
-    // byte-identical for any --threads/--scale (it is recorded in the
-    // "wallclock" env instead, where bench_gate checks it).
+    // byte-identical for any --threads/--scale.
     report.add_section("params", std::move(params));
   }
 
@@ -185,8 +184,7 @@ int main(int argc, char** argv) {
 
   if (opts.wallclock && !wall_ms.empty()) {
     // Host-time scaling table (stdout only: wall numbers must not leak into
-    // the deterministic sections; the per-site histograms are in the
-    // report's "wallclock" section).
+    // the deterministic sections).
     const double base = wall_ms.front().second;
     const int base_threads = wall_ms.front().first;
     std::cout << "\nwall-clock scaling (host ms; baseline " << base_threads

@@ -61,10 +61,6 @@ BigInt mod_inverse(const BigInt& a, const BigInt& m) {
   return inv;
 }
 
-BigInt mod_mul(const BigInt& a, const BigInt& b, const BigInt& m) {
-  return a * b % m;
-}
-
 BigInt mod_add(const BigInt& a, const BigInt& b, const BigInt& m) {
   BigInt s = a + b;
   if (s >= m) s = s - m;

@@ -12,9 +12,6 @@ BigInt gcd(const BigInt& a, const BigInt& b);
 /// gcd(a, m) != 1.
 BigInt mod_inverse(const BigInt& a, const BigInt& m);
 
-/// (a * b) mod m.
-BigInt mod_mul(const BigInt& a, const BigInt& b, const BigInt& m);
-
 /// (a + b) mod m, with a, b already reduced.
 BigInt mod_add(const BigInt& a, const BigInt& b, const BigInt& m);
 

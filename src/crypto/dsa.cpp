@@ -1,6 +1,7 @@
 #include "crypto/dsa.h"
 
-#include "bignum/modmath.h"
+#include <stdexcept>
+
 #include "crypto/sha256.h"
 #include "util/check.h"
 #include "util/serde.h"
@@ -27,7 +28,7 @@ DsaSignature DsaPrivateKey::sign(const Bytes& message, RandomSource& rng) const 
     const BigInt r = group_.exp_g(k) % q;
     if (r.is_zero()) continue;
     // s = k^{-1} (h + x r) mod q
-    const BigInt s = mod_inverse(k, q) * ((h + x_.get() * r % q) % q) % q;
+    const BigInt s = group_.inverse_q(k) * ((h + x_.get() * r % q) % q) % q;
     if (s.is_zero()) continue;
     return DsaSignature{r, s};
   }
@@ -44,7 +45,7 @@ bool DsaPublicKey::verify_digest(const Bytes& digest,
   const BigInt h = digest_to_zq(digest, q);
   BigInt w;
   try {
-    w = mod_inverse(sig.s, q);
+    w = group_.inverse_q(sig.s);
   } catch (const std::domain_error&) {
     return false;
   }

@@ -316,25 +316,6 @@ bool ObsSession::finish(obs::RunReport& report) {
   report.add_section("seed", obs::Json(opts_.seed));
   report.add_metrics(*metrics_);
   report.add_span_rollup(*tracer_);
-  if (wall_ != nullptr) {
-    // The schema bump and the section land together, so a v1 report never
-    // contains wall data and a v2 report always does. A report a bench
-    // already stamped past v1 (e.g. sgk-bench/3 batch payloads) keeps its
-    // higher schema — those supersets admit the wallclock section too.
-    const obs::Json* schema = report.json().find("schema");
-    if (schema != nullptr && schema->is_string() &&
-        schema->as_string() == obs::kBenchSchema)
-      report.set_schema(obs::kBenchSchemaWallclock);
-    obs::Json wall_json = wall_->to_json();
-    // The thread count lives here, in the wall env, and nowhere else: wall
-    // numbers from different thread counts are not comparable (bench_gate
-    // refuses the pairing), while the deterministic sections must stay
-    // byte-identical across thread counts.
-    for (auto& [section, value] : wall_json.as_object()) {
-      if (section == "env") value.set("threads", obs::Json(opts_.threads));
-    }
-    report.add_section("wallclock", std::move(wall_json));
-  }
   bool ok = true;
   std::string error;
   if (!opts_.json_path.empty() &&

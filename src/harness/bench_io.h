@@ -33,11 +33,8 @@ struct BenchOptions {
   /// is read and all output stays byte-identical to a flagless run.
   bool wallclock = false;
   /// --threads <n>: worker threads for benches that parallelize (others
-  /// ignore it). Recorded inside the report's "wallclock" env — wall
-  /// trajectories from different thread counts must never be compared
-  /// silently (tools/bench_gate refuses) — and deliberately NOT in any
-  /// deterministic section: the same scenario at any thread count must
-  /// produce byte-identical v1 report bytes.
+  /// ignore it). Deliberately not recorded in the report: the same
+  /// scenario at any thread count must produce byte-identical report bytes.
   int threads = 1;
 
   bool observing() const { return !json_path.empty() || !trace_path.empty(); }
@@ -142,9 +139,8 @@ std::string lower_name(ProtocolKind kind);
 /// With `--wallclock` the session additionally installs a WallProfiler
 /// (self-calibrating at construction), so the WallScope sites record real
 /// ns/op while the run proceeds. `finish` then prints a per-site summary
-/// table on stdout and, when --json was also given, bumps the report schema
-/// to kBenchSchemaWallclock and appends the "wallclock" section — the only
-/// part of the report allowed to differ between two identical runs.
+/// table on stdout and appends the wall spans to the --trace file; the
+/// --json report is the same bytes with or without the flag.
 class ObsSession {
  public:
   explicit ObsSession(const BenchOptions& opts);
@@ -156,8 +152,8 @@ class ObsSession {
   obs::Tracer* tracer() const { return tracer_.get(); }
   obs::WallProfiler* wall() const { return wall_.get(); }
 
-  /// Adds the metrics + span-rollup (and, with --wallclock, wallclock)
-  /// sections to `report`, then writes the --json and --trace files.
+  /// Adds the seed, metrics and span-rollup sections to `report`, then
+  /// writes the --json and --trace files.
   /// Failures are reported on stderr; returns false if any write failed.
   bool finish(obs::RunReport& report);
 

@@ -19,23 +19,17 @@ namespace sgk::obs {
 
 /// Schema identifier written as the "schema" field of every BENCH_*.json.
 inline constexpr const char* kBenchSchema = "sgk-bench/1";
-/// Bumped schema for reports carrying the "wallclock" section. A report
-/// stays at v1 unless wall-clock mode is on, so `--wallclock`-less output
-/// remains byte-identical across the schema bump.
-inline constexpr const char* kBenchSchemaWallclock = "sgk-bench/2";
-/// Bumped schema for reports carrying the rekey-pipeline "batch" payload
+/// Schema for reports carrying the rekey-pipeline "batch" payload
 /// (bench/churn_storm and any server bench run with batching enabled).
-/// Supersedes v2: a v3 report may also carry the "wallclock" section —
-/// ObsSession::finish only upgrades v1 reports and never downgrades one a
-/// bench already stamped.
+/// "sgk-bench/2" is retired; tools/bench_gate refuses it.
 inline constexpr const char* kBenchSchemaBatch = "sgk-bench/3";
 
 class RunReport {
  public:
   explicit RunReport(std::string bench_name);
 
-  /// Replaces the "schema" field in place (used when the wallclock section
-  /// upgrades a report to kBenchSchemaWallclock).
+  /// Replaces the "schema" field in place (a bench stamping its report
+  /// kBenchSchemaBatch).
   void set_schema(const char* schema);
 
   /// Bench-specific payload, e.g. "sweep" or "table".

@@ -1,8 +1,6 @@
 #include "obs/wallclock.h"
 
 #include <algorithm>
-#include <fstream>
-#include <thread>
 
 namespace sgk::obs {
 
@@ -13,34 +11,6 @@ namespace {
 // profiler, so the main thread's session profiler is never written
 // cross-thread.
 thread_local WallProfiler* g_wall_profiler = nullptr;
-
-/// First line of `path` whose field name (text before ':') matches `field`,
-/// trimmed; empty when the file or field is absent. /proc and /sys reads
-/// only — no clocks, no environment variables.
-std::string read_keyed_line(const char* path, const std::string& field) {
-  std::ifstream in(path);
-  std::string line;
-  while (std::getline(in, line)) {
-    const std::size_t colon = line.find(':');
-    if (colon == std::string::npos) continue;
-    std::string k = line.substr(0, colon);
-    while (!k.empty() && (k.back() == ' ' || k.back() == '\t')) k.pop_back();
-    if (k != field) continue;
-    std::string v = line.substr(colon + 1);
-    const std::size_t start = v.find_first_not_of(" \t");
-    return start == std::string::npos ? std::string() : v.substr(start);
-  }
-  return {};
-}
-
-std::string read_first_line(const char* path) {
-  std::ifstream in(path);
-  std::string line;
-  std::getline(in, line);
-  while (!line.empty() && (line.back() == '\n' || line.back() == '\r'))
-    line.pop_back();
-  return line;
-}
 
 }  // namespace
 
@@ -125,34 +95,6 @@ const Histogram* WallProfiler::site(const std::string& name) const {
   return it == sites_.end() ? nullptr : &it->second;
 }
 
-Json WallProfiler::to_json() const {
-  Json doc = Json::object();
-  {
-    Json cal = Json::object();
-    cal.set("timer_overhead_ns", Json(cal_.overhead_ns));
-    cal.set("resolution_ns", Json(cal_.resolution_ns));
-    cal.set("batches", Json(cal_.batches));
-    doc.set("calibration", std::move(cal));
-  }
-  doc.set("env", wall_env_json());
-  Json sites = Json::object();
-  for (const auto& [name, h] : sites_) {
-    Json s = Json::object();
-    s.set("count", Json(h.count()));
-    s.set("sum_ns", Json(h.sum()));
-    s.set("min_ns", Json(h.min()));
-    s.set("mean_ns", Json(h.mean()));
-    s.set("p50_ns", Json(h.quantile(0.5)));
-    s.set("p95_ns", Json(h.quantile(0.95)));
-    s.set("max_ns", Json(h.max()));
-    sites.set(name, std::move(s));
-  }
-  doc.set("sites", std::move(sites));
-  doc.set("spans_recorded", Json(static_cast<std::uint64_t>(spans_.size())));
-  doc.set("spans_dropped", Json(dropped_));
-  return doc;
-}
-
 Json WallProfiler::trace_events_json() const {
   Json events = Json::array();
   {
@@ -178,38 +120,6 @@ Json WallProfiler::trace_events_json() const {
     events.push(std::move(e));
   }
   return events;
-}
-
-Json wall_env_json() {
-  Json env = Json::object();
-  std::string cpu = read_keyed_line("/proc/cpuinfo", "model name");
-  if (cpu.empty()) cpu = read_keyed_line("/proc/cpuinfo", "Model");  // arm
-  env.set("cpu", Json(cpu.empty() ? "unknown" : cpu));
-  env.set("cpus",
-          Json(static_cast<std::uint64_t>(std::thread::hardware_concurrency())));
-  const std::string governor = read_first_line(
-      "/sys/devices/system/cpu/cpu0/cpufreq/scaling_governor");
-  env.set("governor", Json(governor.empty() ? "unknown" : governor));
-#if defined(__clang__)
-  env.set("compiler", Json(std::string("clang ") + __clang_version__));
-#elif defined(__GNUC__)
-  env.set("compiler", Json(std::string("gcc ") + __VERSION__));
-#else
-  env.set("compiler", Json("unknown"));
-#endif
-#if defined(NDEBUG)
-  env.set("build", Json("release"));
-#else
-  env.set("build", Json("debug"));
-#endif
-#if defined(__x86_64__) || defined(_M_X64)
-  env.set("arch", Json("x86_64"));
-#elif defined(__aarch64__)
-  env.set("arch", Json("aarch64"));
-#else
-  env.set("arch", Json("unknown"));
-#endif
-  return env;
 }
 
 }  // namespace sgk::obs

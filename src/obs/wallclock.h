@@ -5,15 +5,17 @@
 // The WallProfiler is the second clock: RAII scoped timers around the real
 // hot paths (modular exponentiation, sign/verify, validated decode, frame
 // framing) aggregate host-clock nanoseconds into the same log-linear
-// histograms the metrics layer uses, so every bench can emit real ns/op per
-// primitive and per membership event *beside* its virtual-ms numbers.
+// histograms the metrics layer uses, so every bench can print real ns/op
+// per primitive and per membership event *beside* its virtual-ms numbers
+// (the stdout profile and the Perfetto wall track; perfbench/ reads the
+// same sites).
 //
 // Two hard rules keep the dual-clock design honest:
 //
 //  * Determinism is untouched. The profiler never feeds anything back into
-//    simulation, metrics, or tracing state; with `--wallclock` on, two runs
-//    still produce RunReports that are byte-identical outside the
-//    "wallclock" section. Instrumentation sites check the thread-local
+//    simulation, metrics, or tracing state, and nothing it measures enters
+//    a RunReport: a bench's `--json` output is byte-identical with or
+//    without `--wallclock`. Instrumentation sites check the thread-local
 //    pointer (null by default), so a run without the flag does no clock
 //    reads at all and its output is byte-identical to a build without this
 //    file.
@@ -27,9 +29,7 @@
 // construction self-calibrates by measuring the scope-timer's own overhead
 // (min of k batch means, after warmup) and that overhead is subtracted from
 // every recorded interval, clamped at zero so a measured duration is never
-// negative. Cross-machine comparisons should use ratios, not absolute ns —
-// the bench_gate wall-trajectory mode is ratio-based and report-only by
-// default for exactly that reason.
+// negative. Cross-machine comparisons should use ratios, not absolute ns.
 #pragma once
 
 #include <chrono>
@@ -96,11 +96,6 @@ class WallProfiler {
   std::uint64_t spans_recorded() const { return spans_.size(); }
   std::uint64_t spans_dropped() const { return dropped_; }
 
-  /// The RunReport "wallclock" section: {"calibration", "env", "sites",
-  /// "spans_recorded", "spans_dropped"}. Site stats are suffixed _ns
-  /// (count, sum_ns, min_ns, mean_ns, p50_ns, p95_ns, max_ns).
-  Json to_json() const;
-
   /// Chrome trace_event entries for the wall-clock track: every buffered
   /// span as a complete event on pid 1 ("wall clock (host)"), timestamps in
   /// host microseconds relative to the profiler epoch. Appended beside the
@@ -125,11 +120,6 @@ class WallProfiler {
 /// Measures the scope-timer overhead and clock resolution. Exposed for the
 /// calibration sanity tests; WallProfiler's constructor calls it.
 WallCalibration calibrate_wall_timer();
-
-/// Environment snapshot recorded beside the numbers so a wall-clock JSON is
-/// interpretable later: CPU model and count, cpufreq governor, compiler and
-/// build flags, architecture. Never raises; unknown fields say "unknown".
-Json wall_env_json();
 
 /// Ambient profiler used by instrumentation sites; nullptr (the default)
 /// disables wall-clock profiling entirely — no clock is read. Thread-local:

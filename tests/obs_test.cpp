@@ -2,7 +2,9 @@
 // quantiles, span nesting / phase tiling under virtual time, and Chrome
 // trace export round-tripped through the JSON parser.
 #include <cmath>
+#include <fstream>
 #include <set>
+#include <sstream>
 #include <string>
 
 #include "gtest/gtest.h"
@@ -329,17 +331,11 @@ TEST(Wallclock, SpanBufferCapsAndCountsDrops) {
 TEST(Wallclock, JsonAndTraceShapes) {
   WallProfiler wp;
   wp.record("a/b", 1000, 3000);
-  const Json doc = wp.to_json();
-  EXPECT_NE(doc.find("calibration"), nullptr);
-  EXPECT_NE(doc.find("env"), nullptr);
-  ASSERT_NE(doc.find("sites"), nullptr);
-  ASSERT_NE(doc.at("sites").find("a/b"), nullptr);
-  const Json& site = doc.at("sites").at("a/b");
-  for (const char* k :
-       {"count", "sum_ns", "min_ns", "mean_ns", "p50_ns", "p95_ns", "max_ns"})
-    EXPECT_NE(site.find(k), nullptr) << k;
-  EXPECT_EQ(doc.at("spans_recorded").as_number(), 1.0);
-  EXPECT_EQ(doc.at("spans_dropped").as_number(), 0.0);
+  ASSERT_EQ(wp.sites().size(), 1u);
+  ASSERT_NE(wp.site("a/b"), nullptr);
+  EXPECT_EQ(wp.site("a/b")->count(), 1u);
+  EXPECT_EQ(wp.spans_recorded(), 1u);
+  EXPECT_EQ(wp.spans_dropped(), 0u);
 
   const Json events = wp.trace_events_json();
   ASSERT_EQ(events.size(), 2u);  // process_name metadata + one X event
@@ -350,24 +346,26 @@ TEST(Wallclock, JsonAndTraceShapes) {
   EXPECT_EQ(events.at(1).at("pid").as_number(), 1.0);
 }
 
+// A small instrumented run: every sink installed around it sees real work.
+void run_tgdh_join() {
+  sgk::ExperimentConfig cfg;
+  cfg.protocol = sgk::ProtocolKind::kTgdh;
+  sgk::Experiment exp(cfg);
+  exp.grow_to(3);
+  exp.measure_join();
+}
+
 // The cardinal dual-clock guarantee: with every sink installed (metrics,
-// tracer, wall profiler), two identical runs produce RunReports that match
-// byte for byte outside the "wallclock" section.
-TEST(Wallclock, ReportsDifferOnlyInWallclockSection) {
-  const auto run_once = [] {
+// tracer, wall profiler), a run's RunReport is byte-identical to the same
+// run's without the profiler.
+TEST(Wallclock, ProfilerLeavesReportsByteIdentical) {
+  const auto run_once = [](WallProfiler* wp) {
     MetricsRegistry mr;
     Tracer tr;
-    WallProfiler wp;
     set_metrics(&mr);
     set_tracer(&tr);
-    set_wall_profiler(&wp);
-    {
-      sgk::ExperimentConfig cfg;
-      cfg.protocol = sgk::ProtocolKind::kTgdh;
-      sgk::Experiment exp(cfg);
-      exp.grow_to(3);
-      exp.measure_join();
-    }
+    set_wall_profiler(wp);
+    run_tgdh_join();
     set_metrics(nullptr);
     set_tracer(nullptr);
     set_wall_profiler(nullptr);
@@ -375,45 +373,52 @@ TEST(Wallclock, ReportsDifferOnlyInWallclockSection) {
     report.add_section("seed", Json(std::uint64_t{1}));
     report.add_metrics(mr);
     report.add_span_rollup(tr);
-    report.set_schema(kBenchSchemaWallclock);
-    report.add_section("wallclock", wp.to_json());
     return report.json().dump(2);
   };
 
-  const Json a = Json::parse(run_once());
-  const Json b = Json::parse(run_once());
+  WallProfiler wp;
+  const std::string profiled = run_once(&wp);
   // Wall instrumentation actually fired during the run...
-  ASSERT_NE(a.find("wallclock"), nullptr);
-  EXPECT_GT(a.at("wallclock").at("sites").size(), 0u);
-  // ...and is the only section allowed to differ.
-  const auto without_wallclock = [](const Json& doc) {
-    Json out = Json::object();
-    for (const auto& [k, v] : doc.as_object())
-      if (k != "wallclock") out.set(k, v);
-    return out.dump(2);
-  };
-  EXPECT_EQ(without_wallclock(a), without_wallclock(b));
+  EXPECT_GT(wp.sites().size(), 0u);
+  // ...and left no trace in the report.
+  EXPECT_EQ(profiled, run_once(nullptr));
 }
 
-// Schema ladder: ObsSession::finish upgrades a v1 report to v2 when the
-// wall profiler ran, but never downgrades a report a bench already stamped
-// higher (sgk-bench/3 batch payloads carry their wallclock section at v3).
-TEST(Wallclock, FinishNeverDowngradesABatchSchemaReport) {
+std::string read_text(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+// ObsSession::finish writes the same --json bytes whether or not the wall
+// profiler ran, and leaves a bench's own schema stamp alone.
+TEST(Wallclock, FinishWritesTheSameJsonWithOrWithoutProfiler) {
   const std::string dir = ::testing::TempDir();
-  const auto finish_with_wall = [&](const char* stamp, const std::string& path) {
+  const auto finish = [&](bool wallclock, const char* stamp,
+                          const std::string& path) {
     sgk::BenchOptions opts;
-    opts.wallclock = true;
+    opts.wallclock = wallclock;
     opts.json_path = path;
     sgk::ObsSession session(opts);
+    run_tgdh_join();
+    if (wallclock) {
+      EXPECT_GT(session.wall()->sites().size(), 0u);
+    }
     RunReport report("schema_probe");
     if (stamp != nullptr) report.set_schema(stamp);
     EXPECT_TRUE(session.finish(report));
-    return report.json().at("schema").as_string();
+    return read_text(path);
   };
-  EXPECT_EQ(finish_with_wall(kBenchSchemaBatch, dir + "/schema_v3.json"),
-            kBenchSchemaBatch);
-  EXPECT_EQ(finish_with_wall(nullptr, dir + "/schema_v1.json"),
-            kBenchSchemaWallclock);
+  for (const char* stamp : {static_cast<const char*>(nullptr),
+                            kBenchSchemaBatch}) {
+    const std::string with_wall = finish(true, stamp, dir + "/wall_on.json");
+    const std::string without = finish(false, stamp, dir + "/wall_off.json");
+    ASSERT_FALSE(without.empty());
+    EXPECT_EQ(with_wall, without);
+    EXPECT_EQ(Json::parse(without).at("schema").as_string(),
+              stamp != nullptr ? kBenchSchemaBatch : kBenchSchema);
+  }
 }
 
 }  // namespace

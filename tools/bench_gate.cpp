@@ -20,29 +20,13 @@
 // A lower-is-better cell fails when current > baseline * (1 + tolerance) +
 // abs_epsilon; a higher-is-better cell when current < baseline * (1 -
 // tolerance) - abs_epsilon. The absolute epsilon keeps near-zero baseline
-// cells (sub-millisecond events) from tripping on harmless rounding.
-// Improvements and disappearing cells are reported but never fail the gate;
-// *new* cells are informational too.
-//
-// Wall-clock trajectory (schema sgk-bench/2, the "wallclock" section):
-// per-site p50_ns cells are compared the same ratio-based way but under
-// their own knobs, because host-clock numbers are machine noise by nature:
-//  * --wall-tolerance (default 0.60) — a site must slow down by more than
-//    60% before it even counts as a wall regression;
-//  * --wall-mode off|report|gate (default report) — `report` prints wall
-//    regressions without failing the exit code, which is how CI runs it
-//    until the committed wall baselines have proven quiet. Promotion to
-//    `gate` is a one-flag change (see docs/observability.md).
-//
-// Multi-threaded benches record their thread count in the wallclock env
-// (bench_io --threads). Wall numbers from different thread counts are not
-// comparable, so when both documents record a thread count and they differ,
-// the pairing is refused (exit 2) unless --wall-mode off — the virtual
-// sections are byte-identical across thread counts and stay comparable.
+// cells (sub-millisecond events) from tripping on harmless rounding. A
+// baseline cell missing from the current document fails too (a bench that
+// silently stops emitting a series must not pass). Improvements are
+// reported but never fail the gate; *new* cells are informational.
 //
 // Usage: bench_gate <baseline.json> <current.json>
 //                   [--tolerance 0.10] [--abs-epsilon 0.05]
-//                   [--wall-tolerance 0.60] [--wall-mode off|report|gate]
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -68,20 +52,6 @@ bool read_file(const std::string& path, std::string& out, std::string& error) {
   ss << in.rdbuf();
   out = ss.str();
   return true;
-}
-
-// Flat map of watched wall-clock cell name -> value, e.g.
-//   "wall/bignum/modexp_full/p50_ns". Empty for v1 documents.
-std::map<std::string, double> wall_cells(const Json& doc) {
-  std::map<std::string, double> cells;
-  const Json* wall = doc.find("wallclock");
-  if (wall == nullptr) return cells;
-  const Json* sites = wall->find("sites");
-  if (sites == nullptr || !sites->is_object()) return cells;
-  for (const auto& [site, stats] : sites->as_object())
-    if (const Json* p50 = stats.find("p50_ns"); p50 && p50->is_number())
-      cells["wall/" + site + "/p50_ns"] = p50->as_number();
-  return cells;
 }
 
 // Flat map of watched cell name -> value, e.g.
@@ -170,30 +140,14 @@ std::map<std::string, double> throughput_cells(const Json& doc) {
   return cells;
 }
 
-// Thread count recorded in the wallclock env by bench_io --threads, or 0
-// when the document predates it / never recorded one.
-int wall_threads(const Json& doc) {
-  const Json* wall = doc.find("wallclock");
-  if (wall == nullptr) return 0;
-  const Json* env = wall->find("env");
-  if (env == nullptr) return 0;
-  const Json* threads = env->find("threads");
-  if (threads == nullptr || !threads->is_number()) return 0;
-  return static_cast<int>(threads->as_number());
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   std::vector<std::string> paths;
   double tolerance = 0.10;
   double abs_epsilon = 0.05;
-  double wall_tolerance = 0.60;
-  std::string wall_mode = "report";
   const std::map<std::string, double*> numbers = {
-      {"--tolerance", &tolerance},
-      {"--abs-epsilon", &abs_epsilon},
-      {"--wall-tolerance", &wall_tolerance}};
+      {"--tolerance", &tolerance}, {"--abs-epsilon", &abs_epsilon}};
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (const auto number = numbers.find(arg);
@@ -203,12 +157,6 @@ int main(int argc, char** argv) {
                      arg.c_str(), argv[i]);
         return 2;
       }
-    } else if (arg == "--wall-mode" && i + 1 < argc) {
-      wall_mode = argv[++i];
-      if (wall_mode != "off" && wall_mode != "report" && wall_mode != "gate") {
-        std::fprintf(stderr, "error: --wall-mode must be off|report|gate\n");
-        return 2;
-      }
     } else {
       paths.push_back(arg);
     }
@@ -216,8 +164,7 @@ int main(int argc, char** argv) {
   if (paths.size() != 2) {
     std::fprintf(stderr,
                  "usage: bench_gate <baseline.json> <current.json> "
-                 "[--tolerance 0.10] [--abs-epsilon 0.05] "
-                 "[--wall-tolerance 0.60] [--wall-mode off|report|gate]\n");
+                 "[--tolerance 0.10] [--abs-epsilon 0.05]\n");
     return 2;
   }
 
@@ -243,27 +190,9 @@ int main(int argc, char** argv) {
     const Json* schema = doc.find("schema");
     if (schema == nullptr || !schema->is_string() ||
         (schema->as_string() != sgk::obs::kBenchSchema &&
-         schema->as_string() != sgk::obs::kBenchSchemaWallclock &&
          schema->as_string() != sgk::obs::kBenchSchemaBatch)) {
-      std::fprintf(stderr, "error: not a sgk-bench document\n");
-      return 2;
-    }
-  }
-
-  // Refuse wall comparisons across different recorded thread counts: those
-  // numbers measure different machines-worth of parallelism. The virtual
-  // sections are byte-identical across thread counts, so `--wall-mode off`
-  // still compares them.
-  if (wall_mode != "off") {
-    const int base_threads = wall_threads(baseline);
-    const int cur_threads = wall_threads(current);
-    if (base_threads != 0 && cur_threads != 0 && base_threads != cur_threads) {
       std::fprintf(stderr,
-                   "error: wallclock thread counts differ (baseline "
-                   "--threads %d vs current --threads %d); these wall "
-                   "numbers are not comparable — rerun with matching "
-                   "--threads or pass --wall-mode off\n",
-                   base_threads, cur_threads);
+                   "error: not a sgk-bench/1 or sgk-bench/3 document\n");
       return 2;
     }
   }
@@ -276,10 +205,11 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  int regressions = 0, improvements = 0, compared = 0;
+  int regressions = 0, missing = 0, improvements = 0, compared = 0;
   for (const auto& [key, base_value] : base) {
     auto it = cur.find(key);
     if (it == cur.end()) {
+      ++missing;
       std::printf("MISSING %s (baseline %.3f)\n", key.c_str(), base_value);
       continue;
     }
@@ -306,6 +236,7 @@ int main(int argc, char** argv) {
   for (const auto& [key, base_value] : tp_base) {
     auto it = tp_cur.find(key);
     if (it == tp_cur.end()) {
+      ++missing;
       std::printf("MISSING %s (baseline %.3f)\n", key.c_str(), base_value);
       continue;
     }
@@ -325,45 +256,9 @@ int main(int argc, char** argv) {
     if (tp_base.find(key) == tp_base.end())
       std::printf("new %s = %.3f (not gated)\n", key.c_str(), value);
 
-  // Wall-clock cells: same shape, separate knobs, and by default the
-  // verdict is advisory. Virtual cells above stay the authoritative gate.
-  int wall_regressions = 0, wall_compared = 0;
-  if (wall_mode != "off") {
-    const std::map<std::string, double> wall_base = wall_cells(baseline);
-    const std::map<std::string, double> wall_cur = wall_cells(current);
-    // 100 ns floor: sites near the timer resolution jitter in absolute
-    // terms far more than in ratio.
-    const double wall_epsilon = 100.0;
-    for (const auto& [key, base_value] : wall_base) {
-      auto it = wall_cur.find(key);
-      if (it == wall_cur.end()) {
-        std::printf("WALL MISSING %s (baseline %.0f)\n", key.c_str(),
-                    base_value);
-        continue;
-      }
-      ++wall_compared;
-      const double limit = base_value * (1.0 + wall_tolerance) + wall_epsilon;
-      if (it->second > limit) {
-        ++wall_regressions;
-        std::printf("WALL REGRESSION %s: %.0f -> %.0f (limit %.0f)\n",
-                    key.c_str(), base_value, it->second, limit);
-      }
-    }
-    for (const auto& [key, value] : wall_cur)
-      if (wall_base.find(key) == wall_base.end())
-        std::printf("new %s = %.0f (not gated)\n", key.c_str(), value);
-    if (wall_compared > 0)
-      std::printf("bench_gate wall: %d cells compared, %d regressions "
-                  "(tolerance %.0f%%, mode %s)\n",
-                  wall_compared, wall_regressions, wall_tolerance * 100.0,
-                  wall_mode.c_str());
-  }
-
-  std::printf("bench_gate: %d cells compared, %d regressions, %d improvements "
-              "(tolerance %.0f%%, epsilon %.2f ms)\n",
-              compared, regressions, improvements, tolerance * 100.0,
+  std::printf("bench_gate: %d cells compared, %d regressions, %d missing, "
+              "%d improvements (tolerance %.0f%%, epsilon %.2f ms)\n",
+              compared, regressions, missing, improvements, tolerance * 100.0,
               abs_epsilon);
-  if (regressions > 0) return 1;
-  if (wall_mode == "gate" && wall_regressions > 0) return 1;
-  return 0;
+  return regressions > 0 || missing > 0 ? 1 : 0;
 }
