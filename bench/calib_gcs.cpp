@@ -22,7 +22,7 @@ class Sink : public GroupClient {
   void on_view(const std::string&, const View&, const ViewDelta&) override {
     last_view_time = sim_.now();
   }
-  void on_message(const std::string&, ProcessId, const Bytes&) override {
+  void on_message(const std::string&, ProcessId, const SharedBytes&) override {
     last_msg_time = sim_.now();
     ++received;
   }

@@ -26,7 +26,8 @@ int main() {
     void on_view(const std::string& g, const View& v, const ViewDelta& d) override {
       for (auto* t : targets) t->on_view(g, v, d);
     }
-    void on_message(const std::string& g, ProcessId s, const Bytes& b) override {
+    void on_message(const std::string& g, ProcessId s,
+                    const SharedBytes& b) override {
       for (auto* t : targets) t->on_message(g, s, b);
     }
   };

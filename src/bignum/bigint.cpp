@@ -51,7 +51,7 @@ BigInt BigInt::from_hex(std::string_view hex) {
   return out;
 }
 
-BigInt BigInt::from_bytes(const Bytes& be) {
+BigInt BigInt::from_bytes(ByteView be) {
   BigInt out;
   std::size_t nlimbs = (be.size() + 7) / 8;
   out.limbs_.assign(nlimbs, 0);

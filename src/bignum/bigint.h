@@ -33,7 +33,7 @@ class BigInt {
   /// Parses a (lowercase or uppercase) hex string; empty string is zero.
   static BigInt from_hex(std::string_view hex);
   /// Parses big-endian bytes; empty is zero.
-  static BigInt from_bytes(const Bytes& be);
+  static BigInt from_bytes(ByteView be);
   /// Parses a decimal string.
   static BigInt from_dec(std::string_view dec);
 

@@ -78,7 +78,7 @@ void BdProtocol::maybe_finish() {
   host_.deliver_key(key);
 }
 
-Decoded<BdProtocol::Wire> BdProtocol::validate_and_decode(const Bytes& body,
+Decoded<BdProtocol::Wire> BdProtocol::validate_and_decode(ByteView body,
                                                           const BigInt& p) {
   using D = Decoded<Wire>;
   Wire m;
@@ -104,24 +104,25 @@ Decoded<BdProtocol::Wire> BdProtocol::validate_and_decode(const Bytes& body,
   return D::accepted(std::move(m));
 }
 
-void BdProtocol::handle_message(ProcessId sender, const Bytes& body) {
-  Decoded<Wire> d;
+void BdProtocol::handle_message(ProcessId sender, ByteView body) {
+  std::shared_ptr<const Decoded<Wire>> d;
   {
     obs::WallScope wall("decode/BD");
-    d = validate_and_decode(body, crypto().group().p());
+    d = decode(body, &validate_and_decode);
   }
-  if (!d.ok()) {
-    reject(d.reason);
+  if (!d->ok()) {
+    reject(d->reason);
     return;
   }
-  Wire& m = d.value;
+  // Shared with the frame's other receivers: read it, copy what is kept.
+  const Wire& m = d->value;
   switch (m.type) {
     case kZ:
-      if (sender != self()) z_[sender] = std::move(m.value);
+      if (sender != self()) z_[sender] = m.value;
       maybe_round2();
       return;
     case kX:
-      if (sender != self()) x_values_[sender] = std::move(m.value);
+      if (sender != self()) x_values_[sender] = m.value;
       maybe_finish();
       return;
     default:

@@ -25,7 +25,7 @@ class BdProtocol final : public KeyAgreement {
   explicit BdProtocol(ProtocolHost& host) : KeyAgreement(host) {}
 
   void handle_view(const View& view, const ViewDelta& delta) override;
-  void handle_message(ProcessId sender, const Bytes& body) override;
+  void handle_message(ProcessId sender, ByteView body) override;
   ProtocolKind kind() const override { return ProtocolKind::kBd; }
 
   enum MsgType : std::uint8_t { kZ = 1, kX = 2 };
@@ -39,7 +39,7 @@ class BdProtocol final : public KeyAgreement {
   /// The only entrypoint that touches raw BD wire bytes: structural decode
   /// plus semantic validation (tag in {kZ, kX}, value in [2, p-2]). Never
   /// throws; a hostile body comes back as a typed rejection.
-  static Decoded<Wire> validate_and_decode(const Bytes& body, const BigInt& p);
+  static Decoded<Wire> validate_and_decode(ByteView body, const BigInt& p);
 
  private:
 

@@ -125,7 +125,7 @@ void CkdProtocol::rekey() {
   has_pending_key_ = true;
 }
 
-Decoded<CkdProtocol::Wire> CkdProtocol::validate_and_decode(const Bytes& body,
+Decoded<CkdProtocol::Wire> CkdProtocol::validate_and_decode(ByteView body,
                                                             const BigInt& p) {
   using D = Decoded<Wire>;
   Wire m;
@@ -170,22 +170,23 @@ Decoded<CkdProtocol::Wire> CkdProtocol::validate_and_decode(const Bytes& body,
   return D::accepted(std::move(m));
 }
 
-void CkdProtocol::handle_message(ProcessId sender, const Bytes& body) {
-  Decoded<Wire> d;
+void CkdProtocol::handle_message(ProcessId sender, ByteView body) {
+  std::shared_ptr<const Decoded<Wire>> d;
   {
     obs::WallScope wall("decode/CKD");
-    d = validate_and_decode(body, crypto().group().p());
+    d = decode(body, &validate_and_decode);
   }
-  if (!d.ok()) {
-    reject(d.reason);
+  if (!d->ok()) {
+    reject(d->reason);
     return;
   }
-  Wire& m = d.value;
+  // Shared with the frame's other receivers: read it, copy what is kept.
+  const Wire& m = d->value;
   switch (m.type) {
     case kChallenge: {
       if (sender == self()) return;
       mark_phase("pairwise_channels");
-      BigInt controller_pub = std::move(m.value);
+      const BigInt& controller_pub = m.value;
       bool addressed = false;
       for (ProcessId t : m.targets)
         if (t == self()) addressed = true;
@@ -221,7 +222,7 @@ void CkdProtocol::handle_message(ProcessId sender, const Bytes& body) {
       if (sender == self()) {
         // My own broadcast came back through the agreed stream: it is now
         // part of the group's total order, so the key is safe to install.
-        order_ = std::move(m.order);
+        order_ = m.order;
         if (has_pending_key_) {
           has_pending_key_ = false;
           host_.deliver_key(pending_key_);
@@ -230,9 +231,9 @@ void CkdProtocol::handle_message(ProcessId sender, const Bytes& body) {
       }
       BigInt my_wrap;
       bool found = false;
-      for (auto& [member, wrap] : m.wraps) {
+      for (const auto& [member, wrap] : m.wraps) {
         if (member == self()) {
-          my_wrap = std::move(wrap);
+          my_wrap = wrap;
           found = true;
         }
       }
@@ -248,7 +249,7 @@ void CkdProtocol::handle_message(ProcessId sender, const Bytes& body) {
       // carried by the broadcast as it is delivered, so concurrent
       // controllers (possible transiently under cascades) converge on the
       // last stamped one.
-      order_ = std::move(m.order);
+      order_ = m.order;
       controller_seen_ = sender;
       host_.deliver_key(crypto().exp(my_wrap, crypto().inverse_q(x_)));
       return;

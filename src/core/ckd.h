@@ -29,7 +29,7 @@ class CkdProtocol final : public KeyAgreement {
   explicit CkdProtocol(ProtocolHost& host) : KeyAgreement(host) {}
 
   void handle_view(const View& view, const ViewDelta& delta) override;
-  void handle_message(ProcessId sender, const Bytes& body) override;
+  void handle_message(ProcessId sender, ByteView body) override;
   ProtocolKind kind() const override { return ProtocolKind::kCkd; }
 
   ProcessId controller() const { return order_.empty() ? kNoProcess : order_.front(); }
@@ -49,7 +49,7 @@ class CkdProtocol final : public KeyAgreement {
   /// The only entrypoint that touches raw CKD wire bytes: structural decode
   /// plus semantic validation (tags, list caps, every bignum in [2, p-2]).
   /// Never throws; a hostile body comes back as a typed rejection.
-  static Decoded<Wire> validate_and_decode(const Bytes& body, const BigInt& p);
+  static Decoded<Wire> validate_and_decode(ByteView body, const BigInt& p);
 
  private:
 

@@ -84,8 +84,8 @@ Bytes CryptoContext::sign(const Bytes& message) {
   return rsa_.sign(message);
 }
 
-bool CryptoContext::verify(const VerifyKey& pub, const Bytes& message,
-                           const Bytes& sig) {
+bool CryptoContext::verify(const VerifyKey& pub, ByteView message,
+                           ByteView sig, const SharedBytes& frame) {
   obs::WallScope wall("crypto/verify");
   ++counters_.verify_ops;
   ++counters_.hash_ops;
@@ -102,11 +102,12 @@ bool CryptoContext::verify(const VerifyKey& pub, const Bytes& message,
     meter_ms_ += cost_.rsa_verify_ms(rsa->n().bit_length(), e_bits) +
                  cost_.sha256_ms(message.size());
   }
-  const Bytes digest = Sha256::digest(message);
-  return memo_.check(pub, digest, sig, [&] {
-    if (rsa != nullptr) return rsa->verify_digest(digest, sig);
+  return memo_.check(pub, frame, message, sig, [&] {
+    const Bytes digest = Sha256::digest(message);
+    const Bytes signature(sig.begin(), sig.end());
+    if (rsa != nullptr) return rsa->verify_digest(digest, signature);
     try {
-      return dsa->verify_digest(digest, dsa_signature_from_bytes(sig));
+      return dsa->verify_digest(digest, dsa_signature_from_bytes(signature));
     } catch (const DecodeError&) {
       return false;
     }

@@ -79,10 +79,13 @@ class CryptoContext {
   BigInt to_exponent(const BigInt& v) const { return group_.to_exponent(v); }
 
   Bytes sign(const Bytes& message);
-  /// Counted and charged on every call; the modexp runs only when the memo
-  /// does not already hold this exact (`pub`, message, sig) as valid. `pub`
-  /// must stay at its address for the memo's lifetime (a Pki entry).
-  bool verify(const VerifyKey& pub, const Bytes& message, const Bytes& sig);
+  /// Counted and charged on every call; the SHA-256 and the modexp run only
+  /// when the memo does not already hold this exact (`pub`, message, sig) as
+  /// valid. `pub` must stay at its address for the memo's lifetime (a Pki
+  /// entry). `frame` owns the bytes `message` and `sig` view (the wire
+  /// frame they were read from); the memo holds it, not a copy.
+  bool verify(const VerifyKey& pub, ByteView message, ByteView sig,
+              const SharedBytes& frame);
 
   /// Charges symmetric-crypto time (group data encryption, KDF).
   void charge_symmetric(std::size_t bytes);

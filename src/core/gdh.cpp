@@ -174,7 +174,7 @@ Bytes GdhProtocol::encode_partials() const {
 
 void GdhProtocol::broadcast_partials() { host_.send_multicast(encode_partials()); }
 
-Decoded<GdhProtocol::Wire> GdhProtocol::validate_and_decode(const Bytes& body,
+Decoded<GdhProtocol::Wire> GdhProtocol::validate_and_decode(ByteView body,
                                                             const BigInt& p) {
   using D = Decoded<Wire>;
   Wire m;
@@ -223,37 +223,37 @@ Decoded<GdhProtocol::Wire> GdhProtocol::validate_and_decode(const Bytes& body,
   return D::accepted(std::move(m));
 }
 
-void GdhProtocol::adopt_partials(Wire msg) {
+void GdhProtocol::adopt_partials(const Wire& msg) {
   std::map<ProcessId, BigInt> partials;
-  for (auto& [member, partial] : msg.partials)
-    partials[member] = std::move(partial);
+  for (const auto& [member, partial] : msg.partials) partials[member] = partial;
   // A stale controller (possible transiently under cascades) can broadcast
   // a list that omits me; that list is not mine to adopt — keep waiting for
   // the one produced by the instance I contributed to.
   auto it = partials.find(self());
   if (it == partials.end()) return;
   const BigInt mine = it->second;
-  order_ = std::move(msg.order);
+  order_ = msg.order;
   partials_ = std::move(partials);
   host_.deliver_key(crypto().exp(mine, r_));
 }
 
-void GdhProtocol::handle_message(ProcessId sender, const Bytes& body) {
-  Decoded<Wire> d;
+void GdhProtocol::handle_message(ProcessId sender, ByteView body) {
+  std::shared_ptr<const Decoded<Wire>> d;
   {
     obs::WallScope wall("decode/GDH");
-    d = validate_and_decode(body, crypto().group().p());
+    d = decode(body, &validate_and_decode);
   }
-  if (!d.ok()) {
-    reject(d.reason);
+  if (!d->ok()) {
+    reject(d->reason);
     return;
   }
-  Wire& m = d.value;
+  // Shared with the frame's other receivers: read it, copy what is kept.
+  const Wire& m = d->value;
   switch (m.type) {
     case kToken: {
-      BigInt token = std::move(m.value);
-      std::vector<ProcessId> done = std::move(m.done);
-      std::vector<ProcessId> chain = std::move(m.chain);
+      const BigInt& token = m.value;
+      std::vector<ProcessId> done = m.done;
+      const std::vector<ProcessId>& chain = m.chain;
       // The chain carried by the token is authoritative: after a fallback
       // restart only core-side members know the real chain, so a locally
       // computed new_members_ (or even i_am_new_ itself — a member whose
@@ -291,7 +291,7 @@ void GdhProtocol::handle_message(ProcessId sender, const Bytes& body) {
       // The broadcaster is the actual controller — trust the message, not
       // the locally computed new_controller_ (see the kToken chain note).
       new_controller_ = sender;
-      accum_ = std::move(m.value);
+      accum_ = m.value;
       // Factor out my contribution and return it to the new controller.
       BigInt factored = crypto().exp(accum_, crypto().inverse_q(r_));
       Writer w;
@@ -302,7 +302,7 @@ void GdhProtocol::handle_message(ProcessId sender, const Bytes& body) {
     }
     case kFactorOut: {
       if (self() != new_controller_) return;
-      factors_[sender] = std::move(m.value);
+      factors_[sender] = m.value;
       if (factors_.size() + 1 < view_.members.size()) return;
       // All factor-out tokens collected: become the controller.
       mark_phase("key_distribution");
@@ -334,7 +334,7 @@ void GdhProtocol::handle_message(ProcessId sender, const Bytes& body) {
         pending_gen_ = -1;
         return;
       }
-      adopt_partials(std::move(m));
+      adopt_partials(m);
       i_am_new_ = false;
       return;
     }

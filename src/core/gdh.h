@@ -30,7 +30,7 @@ class GdhProtocol final : public KeyAgreement {
   explicit GdhProtocol(ProtocolHost& host) : KeyAgreement(host) {}
 
   void handle_view(const View& view, const ViewDelta& delta) override;
-  void handle_message(ProcessId sender, const Bytes& body) override;
+  void handle_message(ProcessId sender, ByteView body) override;
   ProtocolKind kind() const override { return ProtocolKind::kGdh; }
 
   /// Exposed for white-box tests: the current controller and join order.
@@ -52,7 +52,7 @@ class GdhProtocol final : public KeyAgreement {
   /// The only entrypoint that touches raw GDH wire bytes: structural decode
   /// plus semantic validation (tags, list caps, every bignum in [2, p-2]).
   /// Never throws; a hostile body comes back as a typed rejection.
-  static Decoded<Wire> validate_and_decode(const Bytes& body, const BigInt& p);
+  static Decoded<Wire> validate_and_decode(ByteView body, const BigInt& p);
 
  private:
 
@@ -62,7 +62,7 @@ class GdhProtocol final : public KeyAgreement {
   Bytes encode_token(const BigInt& token, const std::vector<ProcessId>& done,
                      const std::vector<ProcessId>& chain) const;
   Bytes encode_partials() const;
-  void adopt_partials(Wire msg);
+  void adopt_partials(const Wire& msg);
 
   View view_;
   // Join order, oldest first; controller == order_.back().

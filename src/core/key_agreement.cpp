@@ -38,7 +38,14 @@ void KeyAgreement::on_view(const View& view, const ViewDelta& delta) {
   handle_view(view, delta);
 }
 
-void KeyAgreement::on_message(ProcessId sender, const Bytes& body) {
+void KeyAgreement::on_message(ProcessId sender, ByteView body,
+                              const SharedBytes& frame) {
+  // Cleared on every way out, a throw included: no later call sees it.
+  struct Clear {
+    SharedBytes& frame;
+    ~Clear() { frame.reset(); }
+  } clear{frame_};
+  frame_ = frame;
   handle_message(sender, body);
 }
 
@@ -61,7 +68,7 @@ class NullProtocol final : public KeyAgreement {
   void handle_view(const View& view, const ViewDelta&) override {
     host_.deliver_key(BigInt(view.view_id + 1));
   }
-  void handle_message(ProcessId, const Bytes&) override {}
+  void handle_message(ProcessId, ByteView) override {}
 };
 }  // namespace
 
@@ -94,7 +101,7 @@ const std::vector<ProcessId>* core_side(const ViewDelta& delta) {
 
 void put_bigint(Writer& w, const BigInt& v) { w.bytes(v.to_bytes()); }
 
-BigInt get_bigint(Reader& r) { return BigInt::from_bytes(r.bytes()); }
+BigInt get_bigint(Reader& r) { return BigInt::from_bytes(r.view()); }
 
 bool in_group_range(const BigInt& v, const BigInt& p) {
   return v >= BigInt(2) && v <= p - BigInt(2);

@@ -12,6 +12,7 @@
 
 #include "bignum/bigint.h"
 #include "core/crypto_context.h"
+#include "core/decode_memo.h"
 #include "core/reject.h"
 #include "core/view.h"
 #include "util/bytes.h"
@@ -77,6 +78,9 @@ class ProtocolHost {
   /// and, when corruption of the agreed stream is indicated, run their
   /// quarantine/recovery policy. Default no-op keeps bare test hosts small.
   virtual void note_frame_rejected(RejectReason reason) { (void)reason; }
+
+  /// The deployment's decode memo, shared by every receiver of a frame.
+  virtual DecodeMemo& decode_memo() = 0;
 };
 
 class KeyAgreement {
@@ -93,8 +97,10 @@ class KeyAgreement {
   /// state from the interrupted instance there.
   void on_view(const View& view, const ViewDelta& delta);
 
-  /// A protocol message (already verified, current epoch) arrived.
-  void on_message(ProcessId sender, const Bytes& body);
+  /// A protocol message (already verified, current epoch) arrived. `frame`
+  /// is the wire frame `body` views into; it lets every receiver of the
+  /// frame share one decode.
+  void on_message(ProcessId sender, ByteView body, const SharedBytes& frame);
 
   virtual ProtocolKind kind() const = 0;
 
@@ -111,7 +117,7 @@ class KeyAgreement {
 
  protected:
   virtual void handle_view(const View& view, const ViewDelta& delta) = 0;
-  virtual void handle_message(ProcessId sender, const Bytes& body) = 0;
+  virtual void handle_message(ProcessId sender, ByteView body) = 0;
 
   /// True while handling a view that aborted an in-flight agreement.
   /// Protocols use this to re-publish state whose broadcasts died with the
@@ -126,7 +132,19 @@ class KeyAgreement {
   /// Routes a refusal through the host's typed-reject path.
   void reject(RejectReason reason) { host_.note_frame_rejected(reason); }
 
+  /// `validate(body, p)` for the message in hand, shared through the host's
+  /// decode memo with every other receiver of the same frame. The result is
+  /// read-only: copy what the protocol keeps.
+  template <typename Wire>
+  std::shared_ptr<const Decoded<Wire>> decode(
+      ByteView body, Decoded<Wire> (*validate)(ByteView, const BigInt&)) {
+    const BigInt& p = crypto().group().p();
+    return host_.decode_memo().get<Wire>(frame_, body, p,
+                                         [&] { return validate(body, p); });
+  }
+
  private:
+  SharedBytes frame_;  // the frame of the message in hand, else null
   bool in_flight_ = false;
   bool restarting_ = false;
   std::uint64_t started_ = 0;

@@ -322,7 +322,7 @@ void StrProtocol::try_fold() {
   deliver_if_complete();
 }
 
-Decoded<StrProtocol::Wire> StrProtocol::validate_and_decode(const Bytes& body,
+Decoded<StrProtocol::Wire> StrProtocol::validate_and_decode(ByteView body,
                                                             const BigInt& p) {
   using D = Decoded<Wire>;
   Wire m;
@@ -362,18 +362,19 @@ Decoded<StrProtocol::Wire> StrProtocol::validate_and_decode(const Bytes& body,
   return D::accepted(std::move(m));
 }
 
-void StrProtocol::handle_message(ProcessId sender, const Bytes& body) {
-  Decoded<Wire> d;
+void StrProtocol::handle_message(ProcessId sender, ByteView body) {
+  std::shared_ptr<const Decoded<Wire>> d;
   {
     obs::WallScope wall("decode/STR");
-    d = validate_and_decode(body, crypto().group().p());
+    d = decode(body, &validate_and_decode);
   }
-  if (!d.ok()) {
-    reject(d.reason);
+  if (!d->ok()) {
+    reject(d->reason);
     return;
   }
-  const std::uint8_t type = d.value.type;
-  SideInfo info = std::move(d.value.info);
+  // Shared with the frame's other receivers: read it, copy what is kept.
+  const std::uint8_t type = d->value.type;
+  const SideInfo& info = d->value.info;
 
   // Coverage counts only sponsor announcements — the sender must be the
   // announced chain's own top member. Every member applies this test to the
@@ -417,10 +418,10 @@ void StrProtocol::handle_message(ProcessId sender, const Bytes& body) {
           announced_.begin(), announced_.end(),
           [&](const SideInfo& s) { return s.members == info.members; });
       if (same != announced_.end()) {
-        for (auto& [m, v] : info.br) same->br[m] = std::move(v);
-        for (auto& [m, v] : info.bk) same->bk[m] = std::move(v);
+        for (const auto& [m, v] : info.br) same->br[m] = v;
+        for (const auto& [m, v] : info.bk) same->bk[m] = v;
       } else {
-        announced_.push_back(std::move(info));
+        announced_.push_back(info);
       }
       try_fold();
       return;

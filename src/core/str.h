@@ -31,7 +31,7 @@ class StrProtocol final : public KeyAgreement {
   explicit StrProtocol(ProtocolHost& host) : KeyAgreement(host) {}
 
   void handle_view(const View& view, const ViewDelta& delta) override;
-  void handle_message(ProcessId sender, const Bytes& body) override;
+  void handle_message(ProcessId sender, ByteView body) override;
   ProtocolKind kind() const override { return ProtocolKind::kStr; }
 
   /// Chain order, bottom first (tests).
@@ -55,7 +55,7 @@ class StrProtocol final : public KeyAgreement {
   /// (strict tags and presence flags, list cap, unique member ids) plus
   /// semantic validation (every blinded value in [2, p-2]). Never throws; a
   /// hostile body comes back as a typed rejection.
-  static Decoded<Wire> validate_and_decode(const Bytes& body, const BigInt& p);
+  static Decoded<Wire> validate_and_decode(ByteView body, const BigInt& p);
 
  private:
 

@@ -292,7 +292,7 @@ void TgdhProtocol::iterate() {
 }
 
 Decoded<TgdhProtocol::Wire> TgdhProtocol::validate_and_decode(
-    const Bytes& body, const BigInt& p) {
+    ByteView body, const BigInt& p) {
   using D = Decoded<Wire>;
   Wire m;
   try {
@@ -313,17 +313,18 @@ Decoded<TgdhProtocol::Wire> TgdhProtocol::validate_and_decode(
   return D::accepted(std::move(m));
 }
 
-void TgdhProtocol::handle_message(ProcessId sender, const Bytes& body) {
-  Decoded<Wire> d;
+void TgdhProtocol::handle_message(ProcessId sender, ByteView body) {
+  std::shared_ptr<const Decoded<Wire>> d;
   {
     obs::WallScope wall("decode/TGDH");
-    d = validate_and_decode(body, crypto().group().p());
+    d = decode(body, &validate_and_decode);
   }
-  if (!d.ok()) {
-    reject(d.reason);
+  if (!d->ok()) {
+    reject(d->reason);
     return;
   }
-  Wire& m = d.value;
+  // Shared with the frame's other receivers: read it, copy what is kept.
+  const Wire& m = d->value;
   // My own broadcasts loop back through the agreed stream and are processed
   // like anyone else's: that self-delivery — not the send — is what marks
   // blinded keys published and the side announced, so a broadcast stamped
@@ -331,7 +332,7 @@ void TgdhProtocol::handle_message(ProcessId sender, const Bytes& body) {
   if (sender == self() && unconfirmed_bcasts_ > 0) --unconfirmed_bcasts_;
   if (m.type == kAnnounce) {
     mark_phase("tree_update");
-    KeyTree announced = std::move(m.tree);
+    const KeyTree& announced = m.tree;
     if (!collecting_) {
       // Post-fold (or refresh) announcement: absorb if it matches my tree.
       if (announced.same_structure(tree_)) {
@@ -349,14 +350,14 @@ void TgdhProtocol::handle_message(ProcessId sender, const Bytes& body) {
         auto it = std::lower_bound(covered_.begin(), covered_.end(), p);
         if (it == covered_.end() || *it != p) covered_.insert(it, p);
       }
-      announced_.push_back(std::move(announced));
+      announced_.push_back(announced);
     }
     try_fold();
     return;
   }
   if (m.type == kUpdate) {
     mark_phase("tree_update");
-    KeyTree update = std::move(m.tree);
+    const KeyTree& update = m.tree;
     if (!update.same_structure(tree_)) return;  // stale or foreign
     tree_.absorb_bkeys(update);
     iterate();

@@ -28,7 +28,7 @@ class TgdhProtocol final : public KeyAgreement {
       : KeyAgreement(host), eager_balance_(eager_balance) {}
 
   void handle_view(const View& view, const ViewDelta& delta) override;
-  void handle_message(ProcessId sender, const Bytes& body) override;
+  void handle_message(ProcessId sender, ByteView body) override;
   ProtocolKind kind() const override {
     return eager_balance_ ? ProtocolKind::kTgdhBalanced : ProtocolKind::kTgdh;
   }
@@ -47,7 +47,7 @@ class TgdhProtocol final : public KeyAgreement {
   /// (strict tags, tree shape/depth/node caps, unique members) plus semantic
   /// validation (every blinded key in [2, p-2]). Never throws; a hostile
   /// body comes back as a typed rejection.
-  static Decoded<Wire> validate_and_decode(const Bytes& body, const BigInt& p);
+  static Decoded<Wire> validate_and_decode(ByteView body, const BigInt& p);
 
  private:
 

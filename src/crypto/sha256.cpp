@@ -103,7 +103,7 @@ Bytes Sha256::finish() {
   return out;
 }
 
-Bytes Sha256::digest(const Bytes& data) {
+Bytes Sha256::digest(ByteView data) {
   Sha256 h;
   h.update(data);
   return h.finish();

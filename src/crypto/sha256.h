@@ -17,14 +17,14 @@ class Sha256 {
   Sha256();
 
   void update(const std::uint8_t* data, std::size_t len);
-  void update(const Bytes& data) { update(data.data(), data.size()); }
+  void update(ByteView data) { update(data.data(), data.size()); }
 
   /// Finalizes and returns the 32-byte digest. The object must not be used
   /// afterwards (reconstruct for a new hash).
   Bytes finish();
 
   /// One-shot digest.
-  static Bytes digest(const Bytes& data);
+  static Bytes digest(ByteView data);
 
  private:
   void process_block(const std::uint8_t* block);

@@ -268,7 +268,7 @@ void SecureGroupMember::on_view(const std::string& group, const View& view,
 
   // Replay protocol frames that raced ahead of this view install, then drop
   // anything at or below the now-current epoch.
-  std::vector<std::pair<ProcessId, Bytes>> replay;
+  std::vector<std::pair<ProcessId, SharedBytes>> replay;
   auto it = future_.find(epoch_);
   if (it != future_.end()) replay = std::move(it->second);
   future_.erase(future_.begin(), future_.upper_bound(epoch_));
@@ -276,7 +276,7 @@ void SecureGroupMember::on_view(const std::string& group, const View& view,
 }
 
 Decoded<SecureGroupMember::OuterFrame> SecureGroupMember::validate_and_decode_frame(
-    const Bytes& payload) {
+    ByteView payload) {
   using D = Decoded<OuterFrame>;
   OuterFrame f;
   try {
@@ -287,8 +287,9 @@ Decoded<SecureGroupMember::OuterFrame> SecureGroupMember::validate_and_decode_fr
       return D::rejected(RejectReason::kBadTag);
     f.epoch = r.u64();
     f.claimed_sender = r.u32();
-    f.body = r.bytes();
-    if (f.kind == static_cast<std::uint8_t>(WireKind::kProtocol)) f.sig = r.bytes();
+    f.body = r.view();
+    f.signed_part = payload.first(r.position());
+    if (f.kind == static_cast<std::uint8_t>(WireKind::kProtocol)) f.sig = r.view();
     if (!r.done()) return D::rejected(RejectReason::kTrailingBytes);
   } catch (const LengthError&) {
     return D::rejected(RejectReason::kBadLength);
@@ -299,7 +300,7 @@ Decoded<SecureGroupMember::OuterFrame> SecureGroupMember::validate_and_decode_fr
 }
 
 Decoded<SecureGroupMember::DataBody> SecureGroupMember::validate_and_decode_data(
-    const Bytes& body) {
+    ByteView body) {
   using D = Decoded<DataBody>;
   DataBody b;
   try {
@@ -380,8 +381,9 @@ void SecureGroupMember::note_frame_rejected(RejectReason reason) {
 }
 
 void SecureGroupMember::on_message(const std::string& group, ProcessId sender,
-                                   const Bytes& payload) {
+                                   const SharedBytes& frame) {
   if (group != config_.group) return;
+  const Bytes& payload = *frame;
   Decoded<OuterFrame> decoded;
   {
     obs::WallScope wall("serde/frame_decode");
@@ -409,7 +411,7 @@ void SecureGroupMember::on_message(const std::string& group, ProcessId sender,
       std::size_t buffered = 0;
       for (const auto& [e, v] : future_) buffered += v.size();
       if (buffered < kMaxFutureBuffered)
-        future_[msg_epoch].emplace_back(sender, payload);
+        future_[msg_epoch].emplace_back(sender, frame);
       end_handler();
       return;
     }
@@ -447,19 +449,15 @@ void SecureGroupMember::on_message(const std::string& group, ProcessId sender,
       }
       sent_wires_.erase(it);
     } else if (config_.verify_signatures) {
-      // Reconstruct the signed prefix and verify.
-      Writer signed_part;
-      signed_part.u8(f.kind);
-      signed_part.u64(msg_epoch);
-      signed_part.u32(f.claimed_sender);
-      signed_part.bytes(f.body);
+      // The signed bytes are the frame's prefix up to the signature: verify
+      // them in place, and let the memo hold the frame, not a copy.
       const VerifyKey* pub = pki_->find(sender);
       if (pub == nullptr) {
         reject_frame(RejectReason::kUnknownSender, payload.size(), true);
         end_handler();
         return;
       }
-      if (!crypto_.verify(*pub, signed_part.data(), f.sig)) {
+      if (!crypto_.verify(*pub, f.signed_part, f.sig, frame)) {
         reject_frame(RejectReason::kBadSignature, payload.size(), true);
         end_handler();
         return;
@@ -467,7 +465,7 @@ void SecureGroupMember::on_message(const std::string& group, ProcessId sender,
     }
     current_frame_size_ = payload.size();
     try {
-      protocol_->on_message(sender, f.body);
+      protocol_->on_message(sender, f.body, frame);
     } catch (const CheckFailure&) {
       // An internal invariant tripped while handling an untrusted frame.
       // The member must survive it: count, recover, move on.

@@ -193,7 +193,7 @@ class SecureGroupMember final : public GroupClient, private ProtocolHost {
   void on_view(const std::string& group, const View& view,
                const ViewDelta& delta) override;
   void on_message(const std::string& group, ProcessId sender,
-                  const Bytes& payload) override;
+                  const SharedBytes& payload) override;
 
  private:
   enum class WireKind : std::uint8_t { kProtocol = 1, kData = 2 };
@@ -205,13 +205,15 @@ class SecureGroupMember final : public GroupClient, private ProtocolHost {
     Bytes wire;
   };
 
-  /// Decoded outer frame (common header of both wire kinds).
+  /// Decoded outer frame (common header of both wire kinds). The views
+  /// point into the decoded wire bytes.
   struct OuterFrame {
     std::uint8_t kind = 0;
     std::uint64_t epoch = 0;
     ProcessId claimed_sender = kNoProcess;
-    Bytes body;
-    Bytes sig;  // kProtocol only
+    ByteView body;
+    ByteView signed_part;  // kind, epoch, sender and body: a wire prefix
+    ByteView sig;          // kProtocol only
   };
 
   /// Decoded data-plane body (sequence number + sealed payload).
@@ -231,8 +233,8 @@ class SecureGroupMember final : public GroupClient, private ProtocolHost {
   // The only entrypoints that touch untrusted wire bytes (enforced by lint
   // rule GKA009): structural decode that never throws past them — a hostile
   // payload comes back as a typed rejection.
-  static Decoded<OuterFrame> validate_and_decode_frame(const Bytes& payload);
-  static Decoded<DataBody> validate_and_decode_data(const Bytes& body);
+  static Decoded<OuterFrame> validate_and_decode_frame(ByteView payload);
+  static Decoded<DataBody> validate_and_decode_data(ByteView body);
   static Decoded<SealedParts> validate_and_decode_sealed(const Bytes& sealed);
 
   /// Epochs further ahead of the installed view than this are hostile (an
@@ -258,6 +260,7 @@ class SecureGroupMember final : public GroupClient, private ProtocolHost {
   bool key_confirmation() const override { return config_.key_confirmation; }
   void mark_phase(const char* phase_name) override;
   void mark_point(const char* point_name) override;
+  DecodeMemo& decode_memo() override { return net_.decode_memo(); }
 
   Bytes frame_and_sign(WireKind kind, const Bytes& body);
   void queue(SendKind kind, ProcessId dest, Bytes body);
@@ -305,7 +308,8 @@ class SecureGroupMember final : public GroupClient, private ProtocolHost {
   // delays reorder a unicast around a view install). Replayed in arrival
   // order once the matching view lands; entries at or below the installed
   // epoch are pruned. Bounded so a buggy peer cannot grow it without limit.
-  std::map<std::uint64_t, std::vector<std::pair<ProcessId, Bytes>>> future_;
+  std::map<std::uint64_t, std::vector<std::pair<ProcessId, SharedBytes>>>
+      future_;
   static constexpr std::size_t kMaxFutureBuffered = 256;
 
   // Handler-scoped buffers.

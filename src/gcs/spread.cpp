@@ -232,10 +232,12 @@ void SpreadNetwork::unicast(const std::string& group, ProcessId sender,
   }
   // Resolve the client at delivery time: it may detach before the message
   // lands (a member that left and was destroyed).
-  sim_.after(delay, [this, dest, g, sender, data]() {
+  sim_.after(delay, [this, dest, g = std::move(g), sender,
+                     frame = SharedBytes(std::make_shared<const Bytes>(
+                         std::move(data)))]() {
     GroupClient* client = proc(dest).client;
     if (client != nullptr && proc(dest).connected)
-      client->on_message(g, sender, data);
+      client->on_message(g, sender, frame);
   });
 }
 
@@ -328,7 +330,8 @@ void SpreadNetwork::token_arrive(int component_index, std::uint64_t epoch, int p
               .add();
       }
     }
-    Stamped stamped{comp.next_seq++, machine, std::move(payload)};
+    Stamped stamped{comp.next_seq++, machine,
+                    std::make_shared<const Payload>(std::move(payload))};
     comp.log.push_back(stamped);
     ++messages_stamped_;
     ++stamped_count;
@@ -337,11 +340,11 @@ void SpreadNetwork::token_arrive(int component_index, std::uint64_t epoch, int p
       mr->counter("gcs/messages_stamped").add();
     SGK_TRACE(if (tr->event_active()) {
       obs::SpanId mark = tr->instant(
-          stamped.payload.kind == Payload::kView ? "stamp_view" : "stamp_data",
+          stamped.payload->kind == Payload::kView ? "stamp_view" : "stamp_data",
           depart, static_cast<std::uint32_t>(machine + 1));
-      if (stamped.payload.kind == Payload::kData)
+      if (stamped.payload->kind == Payload::kData)
         tr->attr(mark, "bytes",
-                 obs::Json(static_cast<std::uint64_t>(stamped.payload.data.size())));
+                 obs::Json(static_cast<std::uint64_t>(stamped.payload->data.size())));
     });
     transmit(comp, machine, std::move(stamped), depart);
   }
@@ -391,11 +394,9 @@ void SpreadNetwork::transmit(const Component& comp, MachineId origin,
     for (int c = 0; c < copies; ++c) {
       // Duplicate copies trail the original slightly; daemon_receive dedups
       // by sequence number, so extras only cost receive-side work.
-      Stamped copy = stamped;
-      sim_.at(arrive + 0.25 * c,
-              [this, dest, epoch, copy = std::move(copy)]() {
-                daemon_receive(dest, epoch, copy);
-              });
+      sim_.at(arrive + 0.25 * c, [this, dest, epoch, stamped]() {
+        daemon_receive(dest, epoch, stamped);
+      });
     }
   }
 }
@@ -423,8 +424,8 @@ void SpreadNetwork::daemon_receive(MachineId machine, std::uint64_t epoch,
 }
 
 void SpreadNetwork::daemon_deliver(Daemon& daemon, const Stamped& stamped) {
-  if (stamped.payload.kind == Payload::kView) {
-    deliver_view(daemon, stamped.payload);
+  if (stamped.payload->kind == Payload::kView) {
+    deliver_view(daemon, *stamped.payload);
   } else {
     deliver_data(daemon, stamped.payload);
   }
@@ -466,22 +467,23 @@ void SpreadNetwork::deliver_view(Daemon& daemon, const Payload& payload) {
   }
 }
 
-void SpreadNetwork::deliver_data(Daemon& daemon, const Payload& payload) {
-  auto vit = daemon.delivered_view.find(payload.group);
+void SpreadNetwork::deliver_data(Daemon& daemon,
+                                 const std::shared_ptr<const Payload>& payload) {
+  auto vit = daemon.delivered_view.find(payload->group);
   if (vit == daemon.delivered_view.end()) return;  // no members here yet
   const View& view = vit->second;
   for (ProcessId p : view.members) {
     if (machine_of(p) != daemon.machine) continue;
-    if (payload.dest != kNoProcess && payload.dest != p) continue;
+    if (payload->dest != kNoProcess && payload->dest != p) continue;
     ProcessInfo& info = proc(p);
     if (info.client == nullptr || !info.connected) continue;
-    std::string group = payload.group;
-    ProcessId sender = payload.sender;
-    Bytes data = payload.data;
-    sim_.after(params_.deliver_ms, [this, p, group, sender, data]() {
+    sim_.after(params_.deliver_ms, [this, p, payload]() {
       GroupClient* client = proc(p).client;
-      if (client != nullptr && proc(p).connected)
-        client->on_message(group, sender, data);
+      if (client == nullptr || !proc(p).connected) return;
+      // Every receiver gets the same bytes object: the handle shares
+      // ownership of the stamped payload it points into.
+      client->on_message(payload->group, payload->sender,
+                         SharedBytes(payload, &payload->data));
     });
   }
 }

@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "core/decode_memo.h"
 #include "core/verify_memo.h"
 #include "core/view.h"
 #include "fault/hooks.h"
@@ -45,9 +46,11 @@ class GroupClient {
   /// A new view was installed for `group`.
   virtual void on_view(const std::string& group, const View& view,
                        const ViewDelta& delta) = 0;
-  /// A data message was delivered in `group`.
+  /// A data message was delivered in `group`. `payload` is the stamped
+  /// frame itself, shared with every other receiver of the same message:
+  /// hold the handle to keep it, never a copy.
   virtual void on_message(const std::string& group, ProcessId sender,
-                          const Bytes& payload) = 0;
+                          const SharedBytes& payload) = 0;
 };
 
 /// Protocol/transport tunables. Defaults calibrated so the LAN testbed
@@ -168,6 +171,10 @@ class SpreadNetwork {
   /// deployment rather than one per receiver.
   VerifyMemo& verify_memo() { return verify_memo_; }
   const VerifyMemo& verify_memo() const { return verify_memo_; }
+  /// The protocol frames this network's members have decoded: every
+  /// receiver of one frame shares the first receiver's decode.
+  DecodeMemo& decode_memo() { return decode_memo_; }
+  const DecodeMemo& decode_memo() const { return decode_memo_; }
 
  private:
   struct Payload {
@@ -182,10 +189,13 @@ class SpreadNetwork {
     bool force = false;  // re-key request: install even if membership unchanged
   };
 
+  /// A sequenced message. The payload is immutable once stamped (fault
+  /// mutations happen before), so the log, every daemon's copy and every
+  /// receiver share one object.
   struct Stamped {
     std::uint64_t seq;
     MachineId origin;
-    Payload payload;
+    std::shared_ptr<const Payload> payload;
   };
 
   struct Daemon {
@@ -236,7 +246,8 @@ class SpreadNetwork {
   void daemon_receive(MachineId machine, std::uint64_t epoch, Stamped stamped);
   void daemon_deliver(Daemon& daemon, const Stamped& stamped);
   void deliver_view(Daemon& daemon, const Payload& payload);
-  void deliver_data(Daemon& daemon, const Payload& payload);
+  void deliver_data(Daemon& daemon,
+                    const std::shared_ptr<const Payload>& payload);
 
   // Membership machinery.
   /// Routes one membership event either through the batcher (when enabled)
@@ -276,6 +287,7 @@ class SpreadNetwork {
   fault::WireFaultHook* fault_hook_ = nullptr;
   std::unique_ptr<RekeyBatcher> batcher_;  // non-null iff params_.batch.enabled
   VerifyMemo verify_memo_;
+  DecodeMemo decode_memo_;
   std::uint64_t unicast_mutation_units_ = 0;  // see unicast() mutation point
 };
 

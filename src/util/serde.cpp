@@ -80,10 +80,14 @@ void Reader::expect_done() const {
 }
 
 Bytes Reader::bytes() {
+  const ByteView v = view();
+  return Bytes(v.begin(), v.end());
+}
+
+ByteView Reader::view() {
   std::uint32_t n = u32();
   need(n);
-  Bytes out(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
-            data_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
+  const ByteView out = data_.subspan(pos_, n);
   pos_ += n;
   return out;
 }

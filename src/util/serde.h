@@ -47,17 +47,23 @@ class Writer {
   Bytes buf_;
 };
 
-/// Reads fields back in the order they were written.
+/// Reads fields back in the order they were written. Holds a view: the bytes
+/// must outlive the reader.
 class Reader {
  public:
-  explicit Reader(const Bytes& data) : data_(data) {}
+  explicit Reader(ByteView data) : data_(data) {}
 
   std::uint8_t u8();
   std::uint16_t u16();
   std::uint32_t u32();
   std::uint64_t u64();
   Bytes bytes();
+  /// The next length-prefixed byte string as a view into the input, without
+  /// copying it.
+  ByteView view();
   std::string str();
+  /// Bytes consumed so far.
+  std::size_t position() const { return pos_; }
 
   /// Next byte without consuming it.
   std::uint8_t peek_u8() const;
@@ -75,7 +81,7 @@ class Reader {
  private:
   void need(std::size_t n) const;
 
-  const Bytes& data_;
+  ByteView data_;
   std::size_t pos_ = 0;
 };
 

@@ -49,7 +49,7 @@ Bytes extend(Bytes b, std::uint8_t extra = 0x00) {
 TEST(GdhCorpus, EmptyAndUnknownTag) {
   EXPECT_EQ(GdhProtocol::validate_and_decode({}, P()).reason,
             RejectReason::kTruncated);
-  EXPECT_EQ(GdhProtocol::validate_and_decode({9}, P()).reason,
+  EXPECT_EQ(GdhProtocol::validate_and_decode(Bytes{9}, P()).reason,
             RejectReason::kBadTag);
 }
 
@@ -109,7 +109,7 @@ TEST(GdhCorpus, PartialsWithOutOfRangeEntry) {
 // CKD
 
 TEST(CkdCorpus, TagRangeTruncationAndLies) {
-  EXPECT_EQ(CkdProtocol::validate_and_decode({0}, P()).reason,
+  EXPECT_EQ(CkdProtocol::validate_and_decode(Bytes{0}, P()).reason,
             RejectReason::kBadTag);
 
   const Bytes ok = bigint_body(CkdProtocol::kResponse, G());
@@ -164,13 +164,13 @@ TEST(TgdhCorpus, ValidLeafTreeRoundTrips) {
             RejectReason::kTruncated);
   EXPECT_EQ(TgdhProtocol::validate_and_decode(extend(ok), P()).reason,
             RejectReason::kTrailingBytes);
-  EXPECT_EQ(TgdhProtocol::validate_and_decode({7}, P()).reason,
+  EXPECT_EQ(TgdhProtocol::validate_and_decode(Bytes{7}, P()).reason,
             RejectReason::kBadTag);
 }
 
 TEST(TgdhCorpus, HostileTreeShapes) {
   // Invalid node tag.
-  EXPECT_EQ(TgdhProtocol::validate_and_decode({TgdhProtocol::kAnnounce, 7},
+  EXPECT_EQ(TgdhProtocol::validate_and_decode(Bytes{TgdhProtocol::kAnnounce, 7},
                                               P())
                 .reason,
             RejectReason::kBadShape);
@@ -249,7 +249,7 @@ TEST(KeyTreeAdversarial, TruncationIsPlainDecodeError) {
 // STR
 
 TEST(StrCorpus, TagFlagsDuplicatesAndRange) {
-  EXPECT_EQ(StrProtocol::validate_and_decode({0}, P()).reason,
+  EXPECT_EQ(StrProtocol::validate_and_decode(Bytes{0}, P()).reason,
             RejectReason::kBadTag);
 
   Writer ok;
@@ -303,7 +303,7 @@ TEST(StrCorpus, TagFlagsDuplicatesAndRange) {
 // BD
 
 TEST(BdCorpus, TagAndRangeRules) {
-  EXPECT_EQ(BdProtocol::validate_and_decode({3}, P()).reason,
+  EXPECT_EQ(BdProtocol::validate_and_decode(Bytes{3}, P()).reason,
             RejectReason::kBadTag);
   EXPECT_TRUE(
       BdProtocol::validate_and_decode(bigint_body(BdProtocol::kZ, G()), P())

@@ -16,7 +16,7 @@ class CountingClient : public GroupClient {
     last_view = v;
     last_delta = d;
   }
-  void on_message(const std::string&, ProcessId, const Bytes&) override {
+  void on_message(const std::string&, ProcessId, const SharedBytes&) override {
     ++messages;
   }
   int views = 0;

@@ -2,8 +2,10 @@
 // membership events, partitions and merges.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 
+#include "fault/hooks.h"
 #include "gcs/spread.h"
 
 #include "util/serde.h"
@@ -19,6 +21,7 @@ class RecordingClient : public GroupClient {
     std::string group;
     ProcessId sender;
     Bytes payload;
+    SharedBytes frame;  // the delivered handle itself
   };
   struct ViewInstall {
     SimTime time;
@@ -34,8 +37,8 @@ class RecordingClient : public GroupClient {
     views.push_back({sim_.now(), group, view, delta});
   }
   void on_message(const std::string& group, ProcessId sender,
-                  const Bytes& payload) override {
-    messages.push_back({sim_.now(), group, sender, payload});
+                  const SharedBytes& payload) override {
+    messages.push_back({sim_.now(), group, sender, *payload, payload});
   }
 
   std::vector<ViewInstall> views;
@@ -129,6 +132,114 @@ TEST(Gcs, MulticastReachesAllMembersIncludingSender) {
     EXPECT_EQ(f.client(p).messages[0].sender, a);
     EXPECT_EQ(f.client(p).messages[0].payload, str_bytes("hello"));
   }
+}
+
+// A multicast is stamped once as one immutable frame: every receiver, on
+// every machine and the sender's own loopback included, is handed the same
+// bytes object rather than a copy.
+TEST(Gcs, MulticastReceiversShareOneFrameObject) {
+  Fixture f(3);
+  std::vector<ProcessId> members;
+  for (MachineId m : {0, 0, 1, 1, 2, 2}) members.push_back(f.spawn(m));
+  for (ProcessId p : members) f.net.join_group("g", p);
+  f.sim.run();
+  f.net.multicast("g", members[0], str_bytes("one frame"));
+  f.net.multicast("g", members[3], str_bytes("one frame"));
+  f.sim.run();
+  const RecordingClient& first = f.client(members[0]);
+  ASSERT_EQ(first.messages.size(), 2u);
+  // Two multicasts are two frames, even with equal bytes.
+  EXPECT_NE(first.messages[0].frame.get(), first.messages[1].frame.get());
+  for (ProcessId p : members) {
+    const RecordingClient& c = f.client(p);
+    ASSERT_EQ(c.messages.size(), 2u) << "member " << p;
+    for (std::size_t i = 0; i < 2; ++i) {
+      EXPECT_EQ(c.messages[i].frame.get(), first.messages[i].frame.get())
+          << "member " << p << " message " << i;
+      EXPECT_EQ(*c.messages[i].frame, str_bytes("one frame"));
+    }
+  }
+}
+
+/// Leaves copies and timing alone; flips the first byte of every frame whose
+/// unit `mutate` accepts, and records the units it saw.
+class FlipFirstByte : public fault::WireFaultHook {
+ public:
+  explicit FlipFirstByte(std::function<bool(std::uint64_t)> mutate)
+      : mutate_(std::move(mutate)) {}
+  fault::WireFault on_daemon_copy(int, int, std::uint64_t) override {
+    return {};
+  }
+  fault::WireFault on_unicast(ProcessId, ProcessId) override { return {}; }
+  fault::MutationKind on_frame(Bytes& wire, std::uint64_t unit) override {
+    units.push_back(unit);
+    if (!mutate_(unit)) return fault::MutationKind::kNone;
+    wire[0] ^= 0x80;
+    return fault::MutationKind::kBitFlip;
+  }
+  std::vector<std::uint64_t> units;
+
+ private:
+  std::function<bool(std::uint64_t)> mutate_;
+};
+
+// A stamp-time mutation happens once, before the frame is shared: every
+// receiver, the sender included, sees the one mutated object.
+TEST(Gcs, StampTimeMutationIsOneObjectEveryReceiverSees) {
+  Fixture f(3);
+  FlipFirstByte hook([](std::uint64_t) { return true; });
+  f.net.set_fault_hook(&hook);
+  std::vector<ProcessId> members;
+  for (MachineId m : {0, 1, 1, 2}) members.push_back(f.spawn(m));
+  for (ProcessId p : members) f.net.join_group("g", p);
+  f.sim.run();
+  const Bytes sent = str_bytes("payload");
+  Bytes mutated = sent;
+  mutated[0] ^= 0x80;
+  f.net.multicast("g", members[1], sent);
+  f.sim.run();
+  EXPECT_EQ(hook.units.size(), 1u) << "one mutation point per multicast";
+  const SharedBytes& frame = f.client(members[0]).messages.at(0).frame;
+  for (ProcessId p : members) {
+    ASSERT_EQ(f.client(p).messages.size(), 1u) << "member " << p;
+    EXPECT_EQ(f.client(p).messages[0].frame.get(), frame.get());
+    EXPECT_EQ(*f.client(p).messages[0].frame, mutated);
+  }
+}
+
+// A unicast draws its own mutation: mutating one touches neither another
+// unicast of the same bytes nor a multicast frame.
+TEST(Gcs, UnicastMutationTouchesOnlyThatUnicast) {
+  Fixture f;
+  // Unicasts draw units with the top bit set; mutate only the first one.
+  constexpr std::uint64_t kFirstUnicast = 1ULL << 63;
+  FlipFirstByte hook([](std::uint64_t unit) { return unit == kFirstUnicast; });
+  f.net.set_fault_hook(&hook);
+  const ProcessId a = f.spawn(0);
+  const ProcessId b = f.spawn(1);
+  const ProcessId c = f.spawn(2);
+  for (ProcessId p : {a, b, c}) f.net.join_group("g", p);
+  f.sim.run();
+  const Bytes sent = str_bytes("direct");
+  Bytes mutated = sent;
+  mutated[0] ^= 0x80;
+  f.net.multicast("g", a, sent);
+  f.net.unicast("g", a, b, sent);
+  f.net.unicast("g", a, c, sent);
+  f.sim.run();
+  // b got the multicast and its (mutated) unicast; c both pristine.
+  ASSERT_EQ(f.client(b).messages.size(), 2u);
+  ASSERT_EQ(f.client(c).messages.size(), 2u);
+  const auto& b_msgs = f.client(b).messages;
+  const auto& c_msgs = f.client(c).messages;
+  const bool b_unicast_first = *b_msgs[0].frame == mutated;
+  const auto& b_unicast = b_msgs[b_unicast_first ? 0 : 1];
+  const auto& b_multicast = b_msgs[b_unicast_first ? 1 : 0];
+  EXPECT_EQ(*b_unicast.frame, mutated);
+  EXPECT_EQ(*b_multicast.frame, sent);
+  for (const auto& m : c_msgs) EXPECT_EQ(*m.frame, sent);
+  EXPECT_EQ(*f.client(a).messages.at(0).frame, sent);
+  EXPECT_NE(b_unicast.frame.get(), b_multicast.frame.get());
 }
 
 TEST(Gcs, NonMemberDoesNotReceive) {

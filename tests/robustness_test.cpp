@@ -106,7 +106,7 @@ class Attacker : public GroupClient {
     w.bytes(Bytes(128, 0x41));  // fake signature
     net_.multicast("secure-group", self_, w.take());
   }
-  void on_message(const std::string&, ProcessId, const Bytes&) override {}
+  void on_message(const std::string&, ProcessId, const SharedBytes&) override {}
 
  private:
   SpreadNetwork& net_;

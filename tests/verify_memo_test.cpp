@@ -1,13 +1,15 @@
 // VerifyMemo: the per-network table that lets one receiver of a signed frame
 // pay for the signature check and hands the others its verdict. The memo must
 // be exact (a memoised verdict always equals a direct verify()), hold only
-// passing checks, stay bounded with FIFO eviction, and, in a real deployment,
-// check every signature with exactly one modexp.
+// passing checks, hash and check only on a miss, hold frames by handle, stay
+// bounded with FIFO eviction, and, in a real deployment, check every
+// signature with exactly one modexp.
 #include "core/verify_memo.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <variant>
 #include <vector>
@@ -15,6 +17,7 @@
 #include "crypto/dh.h"
 #include "crypto/drbg.h"
 #include "crypto/rsa.h"
+#include "util/check.h"
 #include "fault/plan.h"
 #include "gcs/secure_group.h"
 #include "server/deployment.h"
@@ -40,6 +43,35 @@ bool direct_verify(const VerifyKey& pub, const Bytes& message,
 Bytes flip_bit(Bytes b, std::size_t bit) {
   b[bit / 8 % b.size()] ^= static_cast<std::uint8_t>(1u << (bit % 8));
   return b;
+}
+
+/// A signed frame laid out like a wire frame: signed bytes, then signature.
+struct Frame {
+  SharedBytes bytes;
+  std::size_t signed_size = 0;
+  ByteView message() const { return ByteView(*bytes).first(signed_size); }
+  ByteView sig() const { return ByteView(*bytes).subspan(signed_size); }
+};
+
+Frame make_frame(const Bytes& message, const Bytes& sig) {
+  auto b = std::make_shared<Bytes>(message);
+  b->insert(b->end(), sig.begin(), sig.end());
+  return Frame{std::move(b), message.size()};
+}
+
+/// `ctx.verify()` of (message, sig) read from a fresh frame holding them.
+bool verify(CryptoContext& ctx, const VerifyKey& pub, const Bytes& message,
+            const Bytes& sig) {
+  const Frame f = make_frame(message, sig);
+  return ctx.verify(pub, f.message(), f.sig(), f.bytes);
+}
+
+/// `memo.check()` of (message, sig) read from a fresh frame holding them.
+template <typename Verify>
+bool check(VerifyMemo& memo, const VerifyKey& pub, const Bytes& message,
+           const Bytes& sig, Verify&& full) {
+  const Frame f = make_frame(message, sig);
+  return memo.check(pub, f.bytes, f.message(), f.sig(), full);
 }
 
 /// Two signers of one scheme, their keys enrolled in a Pki (whose entries
@@ -91,9 +123,9 @@ TEST_P(VerifyMemoScheme, VerdictEqualsDirectVerify) {
       EXPECT_EQ(expected, c == 0) << "message " << i << " case " << c;
       const std::uint64_t hits = s.memo.hits();
       const std::uint64_t misses = s.memo.misses();
-      EXPECT_EQ(s.bob.verify(*k.pub, k.msg, k.sig), expected);
+      EXPECT_EQ(verify(s.bob, *k.pub, k.msg, k.sig), expected);
       EXPECT_EQ(s.memo.misses(), misses + 1) << "message " << i << " case " << c;
-      EXPECT_EQ(s.bob.verify(*k.pub, k.msg, k.sig), expected);
+      EXPECT_EQ(verify(s.bob, *k.pub, k.msg, k.sig), expected);
       EXPECT_EQ(s.memo.hits(), hits + (expected ? 1 : 0));
       EXPECT_EQ(s.memo.misses(), misses + (expected ? 1 : 2));
     }
@@ -110,16 +142,134 @@ INSTANTIATE_TEST_SUITE_P(Schemes, VerifyMemoScheme,
                                                   : "Dsa");
                          });
 
-// A failing check is never stored: the same bad tuple misses every time.
+// A failing check is never stored: the same bad tuple misses every time, and
+// runs the full check every time, beside a held good tuple that hits.
 TEST(VerifyMemo, RepeatedBadTupleIsNeverCached) {
   Signers s(SigScheme::kRsa);
   const Bytes msg = str_bytes("frame");
-  const Bytes bad = flip_bit(s.alice.sign(msg), 5);
+  const Bytes good = s.alice.sign(msg);
+  const Bytes bad = flip_bit(good, 5);
+  EXPECT_TRUE(verify(s.bob, s.alice_key(), msg, good));
+  int full_checks = 0;
+  const auto direct = [&] {
+    ++full_checks;
+    return direct_verify(s.alice_key(), msg, bad);
+  };
   for (std::uint64_t i = 1; i <= 3; ++i) {
-    EXPECT_FALSE(s.bob.verify(s.alice_key(), msg, bad));
-    EXPECT_EQ(s.memo.misses(), i);
-    EXPECT_EQ(s.memo.hits(), 0u);
+    EXPECT_FALSE(verify(s.bob, s.alice_key(), msg, bad));
+    EXPECT_FALSE(check(s.memo, s.alice_key(), msg, bad, direct));
+    EXPECT_EQ(full_checks, static_cast<int>(i));
+    EXPECT_EQ(s.memo.misses(), 1 + 2 * i);
+    EXPECT_TRUE(verify(s.bob, s.alice_key(), msg, good));
+    EXPECT_EQ(s.memo.hits(), i);
   }
+}
+
+// The full check (and with it the SHA-256 of the signed bytes) runs exactly
+// once per miss and never on a hit, over a mix of valid, tampered and
+// repeated frames from two signers.
+TEST(VerifyMemo, FullCheckRunsOncePerMiss) {
+  Signers s(SigScheme::kRsa);
+  Drbg rng(11, "verify-memo-count");
+  std::vector<Bytes> msgs;
+  std::vector<Bytes> sigs;
+  for (int i = 0; i < 6; ++i) {
+    msgs.push_back(str_bytes("frame " + std::to_string(i)));
+    sigs.push_back((i % 2 == 0 ? s.alice : s.bob).sign(msgs.back()));
+  }
+  std::uint64_t full_checks = 0;
+  for (int round = 0; round < 40; ++round) {
+    const std::size_t i = rng.next_u64(msgs.size());
+    const VerifyKey& pub = i % 2 == 0 ? s.alice_key() : s.bob_key();
+    Bytes msg = msgs[i];
+    if (rng.next_u64(4) == 0) msg = flip_bit(msg, rng.next_u64(msg.size() * 8));
+    const bool expected = direct_verify(pub, msg, sigs[i]);
+    EXPECT_EQ(check(s.memo, pub, msg, sigs[i],
+                    [&] {
+                      ++full_checks;
+                      return direct_verify(pub, msg, sigs[i]);
+                    }),
+              expected);
+  }
+  EXPECT_EQ(full_checks, s.memo.misses());
+  EXPECT_EQ(s.memo.hits() + s.memo.misses(), 40u);
+  EXPECT_GT(s.memo.hits(), 0u);
+}
+
+// The key is byte equality over views into shared frames: the same frame
+// object hits, an equal copy in another object hits, and a one-bit flip in
+// the signed bytes or the signature, or a wrong key, misses with the verdict
+// of a direct check. A held frame is held by handle, not copied.
+TEST_P(VerifyMemoScheme, SharedFrameKeyIsByteEquality) {
+  Signers s(GetParam());
+  Drbg rng(13, "verify-memo-frames");
+  for (int i = 0; i < 6; ++i) {
+    Bytes msg(1 + rng.next_u64(300));
+    rng.fill(msg.data(), msg.size());
+    const Bytes sig = s.alice.sign(msg);
+    const Frame frame = make_frame(msg, sig);
+    const std::uint64_t misses = s.memo.misses();
+    EXPECT_TRUE(s.bob.verify(s.alice_key(), frame.message(), frame.sig(),
+                             frame.bytes));
+    EXPECT_EQ(s.memo.misses(), misses + 1);
+    EXPECT_EQ(frame.bytes.use_count(), 2) << "held by handle";
+
+    const std::uint64_t hits = s.memo.hits();
+    EXPECT_TRUE(s.bob.verify(s.alice_key(), frame.message(), frame.sig(),
+                             frame.bytes));
+    const Frame copy = make_frame(msg, sig);
+    EXPECT_TRUE(s.bob.verify(s.alice_key(), copy.message(), copy.sig(),
+                             copy.bytes));
+    EXPECT_EQ(s.memo.hits(), hits + 2);
+    EXPECT_EQ(copy.bytes.use_count(), 1) << "a hit holds nothing new";
+
+    struct Case {
+      const VerifyKey* pub;
+      Frame frame;
+    };
+    const std::vector<Case> bad = {
+        {&s.alice_key(),
+         make_frame(flip_bit(msg, rng.next_u64(msg.size() * 8)), sig)},
+        {&s.alice_key(),
+         make_frame(msg, flip_bit(sig, rng.next_u64(sig.size() * 8)))},
+        {&s.bob_key(), frame},
+    };
+    for (std::size_t c = 0; c < bad.size(); ++c) {
+      const Case& k = bad[c];
+      const Bytes m(k.frame.message().begin(), k.frame.message().end());
+      const Bytes g(k.frame.sig().begin(), k.frame.sig().end());
+      ASSERT_FALSE(direct_verify(*k.pub, m, g)) << "case " << c;
+      const std::uint64_t before = s.memo.misses();
+      EXPECT_FALSE(s.bob.verify(*k.pub, k.frame.message(), k.frame.sig(),
+                                k.frame.bytes));
+      EXPECT_EQ(s.memo.misses(), before + 1) << "case " << c;
+    }
+  }
+}
+
+// A stored verdict holds the frame its views point into, so a frame that
+// does not own them is refused (it would leave the entry's views dangling
+// once their own buffer goes), and nothing is held.
+TEST(VerifyMemo, StoreRefusesAFrameThatDoesNotOwnTheViews) {
+  Signers s(SigScheme::kRsa);
+  const Bytes msg = str_bytes("frame");
+  const Bytes sig = s.alice.sign(msg);
+  const Frame owner = make_frame(msg, sig);
+  const Frame other = make_frame(msg, sig);
+  EXPECT_THROW(s.bob.verify(s.alice_key(), owner.message(), owner.sig(),
+                            other.bytes),
+               CheckFailure);
+  EXPECT_THROW(s.bob.verify(s.alice_key(), owner.message(), sig, owner.bytes),
+               CheckFailure);
+  EXPECT_THROW(s.bob.verify(s.alice_key(), owner.message(), owner.sig(),
+                            nullptr),
+               CheckFailure);
+  EXPECT_EQ(other.bytes.use_count(), 1) << "nothing held";
+  EXPECT_EQ(owner.bytes.use_count(), 1) << "nothing held";
+  EXPECT_EQ(s.memo.hits(), 0u);
+  EXPECT_TRUE(s.bob.verify(s.alice_key(), owner.message(), owner.sig(),
+                           owner.bytes));
+  EXPECT_EQ(s.memo.misses(), 4u);
 }
 
 // kCapacity + 1 distinct valid frames push out the first one only; it
@@ -132,7 +282,7 @@ TEST(VerifyMemo, OldestEntryIsEvictedFirst) {
   for (std::size_t i = 0; i <= VerifyMemo::kCapacity; ++i) {
     msgs.push_back(str_bytes("frame " + std::to_string(i)));
     sigs.push_back(s.alice.sign(msgs.back()));
-    EXPECT_TRUE(s.bob.verify(s.alice_key(), msgs.back(), sigs.back()));
+    EXPECT_TRUE(verify(s.bob, s.alice_key(), msgs.back(), sigs.back()));
   }
   EXPECT_EQ(s.memo.misses(), VerifyMemo::kCapacity + 1);
   EXPECT_EQ(s.memo.hits(), 0u);
@@ -140,16 +290,15 @@ TEST(VerifyMemo, OldestEntryIsEvictedFirst) {
   // Frames 1..kCapacity are all still held: none runs the full check.
   int full_checks = 0;
   for (std::size_t i = 1; i <= VerifyMemo::kCapacity; ++i) {
-    EXPECT_TRUE(s.memo.check(s.alice_key(), Sha256::digest(msgs[i]), sigs[i],
-                             [&] {
-                               ++full_checks;
-                               return true;
-                             }));
+    EXPECT_TRUE(check(s.memo, s.alice_key(), msgs[i], sigs[i], [&] {
+      ++full_checks;
+      return true;
+    }));
   }
   EXPECT_EQ(full_checks, 0);
   EXPECT_EQ(s.memo.hits(), VerifyMemo::kCapacity);
 
-  EXPECT_TRUE(s.bob.verify(s.alice_key(), msgs.front(), sigs.front()));
+  EXPECT_TRUE(verify(s.bob, s.alice_key(), msgs.front(), sigs.front()));
   EXPECT_EQ(s.memo.misses(), VerifyMemo::kCapacity + 2);
   EXPECT_EQ(s.memo.hits(), VerifyMemo::kCapacity);
 }

@@ -148,23 +148,28 @@ int main(int argc, char** argv) {
   double abs_epsilon = 0.05;
   const std::map<std::string, double*> numbers = {
       {"--tolerance", &tolerance}, {"--abs-epsilon", &abs_epsilon}};
+  const char* const usage =
+      "usage: bench_gate <baseline.json> <current.json> "
+      "[--tolerance 0.10] [--abs-epsilon 0.05]\n";
+  const auto usage_error = [&](const std::string& message) {
+    std::fprintf(stderr, "error: %s\n%s", message.c_str(), usage);
+    return 2;
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (const auto number = numbers.find(arg);
-        number != numbers.end() && i + 1 < argc) {
-      if (!sgk::parse_number(argv[++i], *number->second)) {
-        std::fprintf(stderr, "error: %s: not a finite number '%s'\n",
-                     arg.c_str(), argv[i]);
-        return 2;
-      }
-    } else {
+    if (arg.rfind("--", 0) != 0) {
       paths.push_back(arg);
+      continue;
     }
+    const auto number = numbers.find(arg);
+    if (number == numbers.end())
+      return usage_error("unknown argument '" + arg + "'");
+    if (i + 1 >= argc) return usage_error(arg + ": missing value");
+    if (!sgk::parse_number(argv[++i], *number->second))
+      return usage_error(arg + ": not a finite number '" + argv[i] + "'");
   }
   if (paths.size() != 2) {
-    std::fprintf(stderr,
-                 "usage: bench_gate <baseline.json> <current.json> "
-                 "[--tolerance 0.10] [--abs-epsilon 0.05]\n");
+    std::fputs(usage, stderr);
     return 2;
   }
 
