@@ -8,8 +8,11 @@
 // for this implementation too.
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "bignum/modmath.h"
 #include "bignum/montgomery.h"
+#include "bignum/montgomery_kernels.h"
 #include "bignum/prime.h"
 #include "crypto/aes.h"
 #include "crypto/dh.h"
@@ -56,6 +59,59 @@ void BM_MontMul(benchmark::State& state, DhBits bits) {
 BENCHMARK_CAPTURE(BM_MontMul, 512, DhBits::k512);
 BENCHMARK_CAPTURE(BM_MontMul, 1024, DhBits::k1024);
 
+// One kernel multiply, x = x * y * R^-1 mod p, per kernel at 8 limbs (DH-512
+// p; the RSA-CRT primes are 8 limbs too) and 16 (DH-1024 p, RSA-1024 n).
+// MontgomeryCtx uses the ADX kernel wherever the CPU has it (the
+// "montgomery_kernel" context line says which); these rows time each kernel
+// on its own.
+template <class Mul>
+void run_kernel(benchmark::State& state, Mul mul) {
+  namespace mk = montgomery_kernels;
+  const BigInt& p =
+      dh_group(state.range(0) == 8 ? DhBits::k512 : DhBits::k1024).p();
+  const std::size_t k = p.limbs().size();
+  Drbg rng(7, "bench");
+  std::vector<mk::Limb> x = BigInt::random_below(p, rng).limbs();
+  std::vector<mk::Limb> y = BigInt::random_below(p, rng).limbs();
+  x.resize(k);
+  y.resize(k);
+  std::vector<mk::Limb> t(mk::portable_temp_limbs(k));
+  const mk::Limb n0_inv = mk::neg_inv64(p.limbs()[0]);
+  for (auto _ : state) {
+    mul(x.data(), y.data(), p.limbs().data(), n0_inv, t.data());
+    benchmark::DoNotOptimize(x.data());
+    benchmark::ClobberMemory();
+  }
+}
+
+void BM_MontMulKernel_portable(benchmark::State& state) {
+  run_kernel(state, [&](auto* x, const auto* y, const auto* n, auto n0,
+                        auto* t) {
+    if (state.range(0) == 8)
+      montgomery_kernels::mul_portable<8>(x, x, y, n, n0, 8, t);
+    else
+      montgomery_kernels::mul_portable<16>(x, x, y, n, n0, 16, t);
+  });
+}
+BENCHMARK(BM_MontMulKernel_portable)->Arg(8)->Arg(16);
+
+#ifdef SGK_MONTGOMERY_ADX
+void BM_MontMulKernel_adx(benchmark::State& state) {
+  if (!montgomery_kernels::adx_available()) {
+    state.SkipWithError("this CPU lacks ADX or BMI2");
+    return;
+  }
+  run_kernel(state, [&](auto* x, const auto* y, const auto* n, auto n0,
+                        auto* t) {
+    if (state.range(0) == 8)
+      montgomery_kernels::mul_adx8(x, x, y, n, n0);
+    else
+      montgomery_kernels::mul_adx16(x, x, y, n, n0, t);
+  });
+}
+BENCHMARK(BM_MontMulKernel_adx)->Arg(8)->Arg(16);
+#endif
+
 void BM_ModExp512_SmallExponent(benchmark::State& state) {
   // BD's step-3 "hidden cost" exponentiations: exponent < group size.
   const DhGroup& grp = dh_group(DhBits::k512);
@@ -100,6 +156,17 @@ void BM_InverseQ(benchmark::State& state) {
 }
 BENCHMARK(BM_InverseQ);
 
+// Inverse mod p by extended Euclid: BD's CryptoContext::inverse_p at 512 and
+// 1024 bits.
+void BM_ModInverseP(benchmark::State& state, DhBits bits) {
+  const DhGroup& grp = dh_group(bits);
+  Drbg rng(8, "bench");
+  const BigInt a = grp.exp_g(grp.random_exponent(rng));
+  for (auto _ : state) benchmark::DoNotOptimize(mod_inverse(a, grp.p()));
+}
+BENCHMARK_CAPTURE(BM_ModInverseP, 512, DhBits::k512);
+BENCHMARK_CAPTURE(BM_ModInverseP, 1024, DhBits::k1024);
+
 void BM_Sha256(benchmark::State& state) {
   Bytes data(static_cast<std::size_t>(state.range(0)), 0xab);
   for (auto _ : state) benchmark::DoNotOptimize(Sha256::digest(data));
@@ -134,4 +201,13 @@ BENCHMARK(BM_MillerRabin512);
 }  // namespace
 }  // namespace sgk
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::AddCustomContext(
+      "montgomery_kernel",
+      sgk::montgomery_kernels::adx_available() ? "adx" : "portable");
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

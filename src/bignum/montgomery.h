@@ -6,21 +6,25 @@
 // essentially (#squarings + #multiplies) * cost(montgomery multiply), i.e.
 // roughly linear in the exponent bit-length for a fixed modulus size.
 //
-// One Montgomery multiply kernel serves every path: product scanning with
-// the reduction folded into each column (FIPS), which keeps the column sum
-// in registers. It is templated on the limb count and instantiated for 3
-// limbs (160-bit q), 8 (DH-512 p, RSA-CRT primes) and 16 (DH-1024 p,
-// RSA-1024 n), plus a runtime-width instance for every other modulus; it
-// writes into caller-owned limb buffers, so an exponentiation allocates
-// nothing per multiply. On top of it:
+// Every path runs on one Montgomery multiply per modulus width, writing into
+// caller-owned limb buffers, so an exponentiation allocates nothing per
+// multiply (montgomery_kernels.h). The portable kernel is product scanning
+// with the reduction folded into each column (FIPS), templated on the limb
+// count and instantiated for 3 limbs (160-bit q), 8 (DH-512 p, RSA-CRT
+// primes) and 16 (DH-1024 p, RSA-1024 n), plus a runtime-width instance for
+// every other modulus. On x86-64 CPUs with ADX and BMI2 (detected once per
+// process; nothing else selects it) the 8- and 16-limb widths use an
+// inline-assembly CIOS kernel instead: MULX with two independent carry
+// chains (ADCX/ADOX) and a branch-free final subtraction. Both give the same
+// limbs. On top of them:
 //   - exp(): 4-bit sliding window, or plain square-and-multiply for
 //     exponents of at most 8 bits (RSA e = 3, BD's small exponents);
 //   - exp(FixedBase, e): a precomputed table of base^(d * 16^i), so a fixed
 //     base costs one multiply per non-zero 4-bit exponent digit and no
 //     squarings (DhGroup's g).
-// All of it is variable-time: it branches on exponent bits, indexes its
-// tables by exponent digits, and ends each multiply with a data-dependent
-// subtraction.
+// All of it is variable-time: it branches on exponent bits and indexes its
+// tables by exponent digits, and the portable kernel ends each multiply with
+// a data-dependent subtraction.
 #pragma once
 
 #include <cstddef>

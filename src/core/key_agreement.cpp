@@ -1,6 +1,9 @@
 #include "core/key_agreement.h"
 
 #include <algorithm>
+#include <cstddef>
+#include <cstdint>
+#include <vector>
 
 #include "core/bd.h"
 #include "core/ckd.h"
@@ -104,7 +107,20 @@ void put_bigint(Writer& w, const BigInt& v) { w.bytes(v.to_bytes()); }
 BigInt get_bigint(Reader& r) { return BigInt::from_bytes(r.view()); }
 
 bool in_group_range(const BigInt& v, const BigInt& p) {
-  return v >= BigInt(2) && v <= p - BigInt(2);
+  // v >= 2 and p - v >= 2, compared limb by limb: every wire bignum passes
+  // here, so build no temporaries.
+  if (v.bit_length() < 2 || v >= p) return false;
+  // 0 < p - v; it is below 2 only when its limbs read 1, 0, 0, ...
+  const std::vector<std::uint64_t>& pl = p.limbs();
+  const std::vector<std::uint64_t>& vl = v.limbs();
+  std::uint64_t borrow = 0;
+  for (std::size_t i = 0; i < pl.size(); ++i) {
+    const std::uint64_t vi = i < vl.size() ? vl[i] : 0;
+    const std::uint64_t diff = pl[i] - vi - borrow;
+    borrow = pl[i] < vi || (pl[i] == vi && borrow != 0) ? 1 : 0;
+    if (diff != (i == 0 ? 1 : 0)) return true;
+  }
+  return false;
 }
 
 }  // namespace sgk

@@ -4,6 +4,7 @@
 // hostile frame dies as a typed rejection and the group still converges.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 
@@ -34,13 +35,33 @@ Bytes bigint_body(std::uint8_t tag, const BigInt& v) {
 }
 
 Bytes truncate(Bytes b, std::size_t n = 1) {
-  b.resize(b.size() - n);
+  b.resize(b.size() - std::min(n, b.size()));
   return b;
 }
 
 Bytes extend(Bytes b, std::uint8_t extra = 0x00) {
   b.push_back(extra);
   return b;
+}
+
+// ---------------------------------------------------------------------------
+// The range every decoder applies to every wire bignum
+
+TEST(GroupRange, IsTwoThroughPMinusTwo) {
+  // The DH primes, and moduli whose p - 1 and p - 2 borrow across limbs.
+  const BigInt two64 = BigInt(1) << 64;
+  for (const BigInt& p : {P(), dh_group(DhBits::k1024).p(), BigInt(5),
+                          two64, two64 + BigInt(1), (BigInt(1) << 128),
+                          (BigInt(1) << 128) + BigInt(1)}) {
+    for (const BigInt& v :
+         {BigInt(0), BigInt(1), BigInt(2), BigInt(3), two64 - BigInt(1), two64,
+          two64 + BigInt(1), p - BigInt(3), p - BigInt(2), p - BigInt(1), p,
+          p + BigInt(1), p * BigInt(2)}) {
+      const bool want = v >= BigInt(2) && v <= p - BigInt(2);
+      EXPECT_EQ(in_group_range(v, p), want)
+          << "v = " << v.to_hex() << ", p = " << p.to_hex();
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

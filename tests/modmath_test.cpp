@@ -2,12 +2,79 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "bignum/montgomery.h"
 #include "bignum/prime.h"
+#include "crypto/dh.h"
 #include "crypto/drbg.h"
 
 namespace sgk {
 namespace {
+
+/// The oracle for mod_inverse: extended Euclid over BigInt values, with a
+/// new quotient, product and coefficient allocated on every step.
+BigInt ref_mod_inverse(const BigInt& a, const BigInt& m) {
+  if (m <= BigInt(1)) throw std::domain_error("mod_inverse: modulus must be > 1");
+  BigInt r0 = a % m;
+  BigInt r1 = m;
+  BigInt t0(1);
+  bool t0_neg = false;
+  BigInt t1;
+  bool t1_neg = false;
+  // Invariant: r0 = t0 * a (mod m), r1 = t1 * a (mod m).
+  while (!r1.is_zero()) {
+    BigInt::DivMod dm = r0.divmod(r1);
+    // (t0, t1) <- (t1, t0 - q * t1)
+    BigInt qt = dm.quotient * t1;
+    BigInt nt;
+    bool nt_neg;
+    if (t0_neg == t1_neg) {
+      if (t0 >= qt) {
+        nt = t0 - qt;
+        nt_neg = t0_neg;
+      } else {
+        nt = qt - t0;
+        nt_neg = !t0_neg;
+      }
+    } else {
+      nt = t0 + qt;
+      nt_neg = t0_neg;
+    }
+    t0 = std::move(t1);
+    t0_neg = t1_neg;
+    t1 = std::move(nt);
+    t1_neg = nt_neg;
+    r0 = std::move(r1);
+    r1 = std::move(dm.remainder);
+  }
+  if (r0 != BigInt(1)) throw std::domain_error("mod_inverse: not invertible");
+  BigInt inv = t0 % m;
+  if (t0_neg && !inv.is_zero()) inv = m - inv;
+  return inv;
+}
+
+/// mod_inverse(a, m) and the oracle agree: the same value, or the same
+/// std::domain_error message.
+void expect_inverse_matches(const BigInt& a, const BigInt& m) {
+  std::string want_error, got_error;
+  BigInt want, got;
+  try {
+    want = ref_mod_inverse(a, m);
+  } catch (const std::domain_error& e) {
+    want_error = e.what();
+  }
+  try {
+    got = mod_inverse(a, m);
+  } catch (const std::domain_error& e) {
+    got_error = e.what();
+  }
+  EXPECT_EQ(got_error, want_error) << "a = " << a.to_hex() << ", m = " << m.to_hex();
+  EXPECT_EQ(got, want) << "a = " << a.to_hex() << ", m = " << m.to_hex();
+}
 
 TEST(Gcd, Basics) {
   EXPECT_EQ(gcd(BigInt(12), BigInt(18)), BigInt(6));
@@ -46,6 +113,46 @@ TEST(ModInverse, CompositeModulus) {
   const BigInt a = BigInt(77);
   BigInt inv = mod_inverse(a, m);
   EXPECT_EQ(a * inv % m, BigInt(1));
+}
+
+TEST(ModInverse, MatchesEuclidOracle) {
+  // Prime moduli of 160, 512 and 1024 bits (q and the DH p), even and odd
+  // composites, and one-limb moduli; a = 1, m - 1, m, m + 1, a >= m, multiples
+  // of a factor of m, and random values below and above m.
+  Drbg rng(13, "modinv-oracle");
+  std::vector<BigInt> moduli = {dh_group(DhBits::k512).q(),
+                                dh_group(DhBits::k512).p(),
+                                dh_group(DhBits::k1024).p(),
+                                BigInt::from_dec("1000000"),
+                                BigInt(2),
+                                BigInt(3),
+                                BigInt(~std::uint64_t{0}),
+                                (BigInt(1) << 128) - BigInt(1),
+                                (BigInt(1) << 512) + BigInt(1)};
+  for (std::size_t bits : {64, 65, 200, 512, 1024}) {
+    moduli.push_back(BigInt::random_bits(bits, rng));  // odd or even
+    moduli.push_back(BigInt::random_bits(bits, rng) * BigInt(6));
+  }
+  for (const BigInt& m : moduli) {
+    std::vector<BigInt> as = {BigInt(),          BigInt(1),
+                              BigInt(2),         m - BigInt(1),
+                              m,                 m + BigInt(1),
+                              m * BigInt(3) + BigInt(7),
+                              BigInt(3) * (m / BigInt(3)),
+                              BigInt::random_bits(m.bit_length() + 70, rng)};
+    for (int i = 0; i < 40; ++i) as.push_back(BigInt::random_below(m, rng));
+    // Small a: the first quotients are many limbs long.
+    as.push_back(BigInt::random_bits(5, rng));
+    as.push_back(BigInt::random_bits(70, rng));
+    for (const BigInt& a : as) expect_inverse_matches(a, m);
+  }
+}
+
+TEST(ModInverse, ModulusBelowTwoThrows) {
+  EXPECT_THROW(mod_inverse(BigInt(3), BigInt()), std::domain_error);
+  EXPECT_THROW(mod_inverse(BigInt(3), BigInt(1)), std::domain_error);
+  expect_inverse_matches(BigInt(3), BigInt(1));
+  expect_inverse_matches(BigInt(3), BigInt());
 }
 
 TEST(ModAddSub, WrapsCorrectly) {

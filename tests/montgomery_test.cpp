@@ -1,7 +1,9 @@
-// Differential tests of the Montgomery kernel, the fixed-base table for g and
+// Differential tests of the Montgomery kernels, the fixed-base table for g and
 // the Fermat inverse mod q, against an oracle kept here: the previous
 // runtime-width CIOS multiply and 4-bit sliding-window exponentiation,
-// which allocated per multiply and used one path for every exponent.
+// which allocated per multiply and used one path for every exponent. The
+// MontgomeryCtx tests run whichever kernel the CPU gets; the KernelDiff tests
+// call each kernel directly.
 #include "bignum/montgomery.h"
 
 #include <gtest/gtest.h>
@@ -12,6 +14,7 @@
 #include <vector>
 
 #include "bignum/modmath.h"
+#include "bignum/montgomery_kernels.h"
 #include "crypto/dh.h"
 #include "crypto/drbg.h"
 
@@ -20,6 +23,60 @@ namespace {
 
 using u64 = std::uint64_t;
 using u128 = unsigned __int128;
+
+using Limbs = std::vector<u64>;
+
+/// One CIOS Montgomery multiply over heap-allocated limb vectors: the
+/// oracle's kernel, a * b * R^-1 mod n for a k-limb n and a, b < n.
+Limbs ref_mont_mul(const Limbs& a, const Limbs& b, const Limbs& n,
+                   u64 n0_inv) {
+  const std::size_t k = n.size();
+  Limbs t(k + 2, 0);
+  for (std::size_t i = 0; i < k; ++i) {
+    u64 carry = 0;
+    for (std::size_t j = 0; j < k; ++j) {
+      u128 cur = static_cast<u128>(a[i]) * b[j] + t[j] + carry;
+      t[j] = static_cast<u64>(cur);
+      carry = static_cast<u64>(cur >> 64);
+    }
+    u128 cur = static_cast<u128>(t[k]) + carry;
+    t[k] = static_cast<u64>(cur);
+    t[k + 1] = static_cast<u64>(cur >> 64);
+    const u64 m = t[0] * n0_inv;
+    u128 acc = static_cast<u128>(m) * n[0] + t[0];
+    carry = static_cast<u64>(acc >> 64);
+    for (std::size_t j = 1; j < k; ++j) {
+      acc = static_cast<u128>(m) * n[j] + t[j] + carry;
+      t[j - 1] = static_cast<u64>(acc);
+      carry = static_cast<u64>(acc >> 64);
+    }
+    cur = static_cast<u128>(t[k]) + carry;
+    t[k - 1] = static_cast<u64>(cur);
+    t[k] = t[k + 1] + static_cast<u64>(cur >> 64);
+    t[k + 1] = 0;
+  }
+  t.resize(k + 1);
+  bool ge = t[k] != 0;
+  if (!ge) {
+    ge = true;
+    for (std::size_t i = k; i-- > 0;) {
+      if (t[i] != n[i]) {
+        ge = t[i] > n[i];
+        break;
+      }
+    }
+  }
+  t.resize(k);
+  if (ge) {
+    u64 borrow = 0;
+    for (std::size_t i = 0; i < k; ++i) {
+      u128 diff = static_cast<u128>(t[i]) - n[i] - borrow;
+      t[i] = static_cast<u64>(diff);
+      borrow = static_cast<u64>((diff >> 64) & 1);
+    }
+  }
+  return t;
+}
 
 /// The oracle: runtime-width CIOS over heap-allocated limb vectors.
 class RefMont {
@@ -66,8 +123,6 @@ class RefMont {
   }
 
  private:
-  using Limbs = std::vector<u64>;
-
   Limbs to_mont(const BigInt& a) const {
     BigInt reduced = a >= n_ ? a % n_ : a;
     Limbs al(reduced.limbs());
@@ -84,52 +139,7 @@ class RefMont {
   }
 
   Limbs mont_mul(const Limbs& a, const Limbs& b) const {
-    const auto& n = n_.limbs();
-    Limbs t(k_ + 2, 0);
-    for (std::size_t i = 0; i < k_; ++i) {
-      u64 carry = 0;
-      for (std::size_t j = 0; j < k_; ++j) {
-        u128 cur = static_cast<u128>(a[i]) * b[j] + t[j] + carry;
-        t[j] = static_cast<u64>(cur);
-        carry = static_cast<u64>(cur >> 64);
-      }
-      u128 cur = static_cast<u128>(t[k_]) + carry;
-      t[k_] = static_cast<u64>(cur);
-      t[k_ + 1] = static_cast<u64>(cur >> 64);
-      const u64 m = t[0] * n0_inv_;
-      u128 acc = static_cast<u128>(m) * n[0] + t[0];
-      carry = static_cast<u64>(acc >> 64);
-      for (std::size_t j = 1; j < k_; ++j) {
-        acc = static_cast<u128>(m) * n[j] + t[j] + carry;
-        t[j - 1] = static_cast<u64>(acc);
-        carry = static_cast<u64>(acc >> 64);
-      }
-      cur = static_cast<u128>(t[k_]) + carry;
-      t[k_ - 1] = static_cast<u64>(cur);
-      t[k_] = t[k_ + 1] + static_cast<u64>(cur >> 64);
-      t[k_ + 1] = 0;
-    }
-    t.resize(k_ + 1);
-    bool ge = t[k_] != 0;
-    if (!ge) {
-      ge = true;
-      for (std::size_t i = k_; i-- > 0;) {
-        if (t[i] != n[i]) {
-          ge = t[i] > n[i];
-          break;
-        }
-      }
-    }
-    t.resize(k_);
-    if (ge) {
-      u64 borrow = 0;
-      for (std::size_t i = 0; i < k_; ++i) {
-        u128 diff = static_cast<u128>(t[i]) - n[i] - borrow;
-        t[i] = static_cast<u64>(diff);
-        borrow = static_cast<u64>((diff >> 64) & 1);
-      }
-    }
-    return t;
+    return ref_mont_mul(a, b, n_.limbs(), n0_inv_);
   }
 
   BigInt n_;
@@ -294,6 +304,162 @@ INSTANTIATE_TEST_SUITE_P(Groups, GroupTables,
                            return info.param == DhBits::k512 ? "Dh512"
                                                              : "Dh1024";
                          });
+
+namespace mk = montgomery_kernels;
+
+enum class KernelId { kPortable, kAdx };
+
+struct KernelCase {
+  KernelId kernel;
+  std::size_t limbs;
+  bool top_ones;
+};
+
+/// One kernel at one width, checked limb for limb against ref_mont_mul or,
+/// over long chains, against the portable kernel (itself checked against
+/// ref_mont_mul here).
+class KernelDiff : public ::testing::TestWithParam<KernelCase> {
+ protected:
+  void SetUp() override {
+    const KernelCase& c = GetParam();
+    if (c.kernel == KernelId::kAdx) {
+#ifdef SGK_MONTGOMERY_ADX
+      if (!mk::adx_available()) GTEST_SKIP() << "this CPU lacks ADX or BMI2";
+#else
+      GTEST_SKIP() << "the ADX kernels are built only for x86-64 GCC/Clang";
+#endif
+    }
+    rng_ = std::make_unique<Drbg>(c.limbs * 2 + c.top_ones, "montgomery-diff");
+    const BigInt n = modulus_of(c.limbs, c.top_ones, *rng_);
+    n_ = n.limbs();
+    n0_inv_ = mk::neg_inv64(n_[0]);
+    t_.assign(mk::portable_temp_limbs(c.limbs), 0);
+  }
+
+  /// out = a * b * R^-1 mod n through the kernel under test.
+  void mul(u64* out, const u64* a, const u64* b) {
+    const std::size_t k = GetParam().limbs;
+    if (GetParam().kernel == KernelId::kPortable) {
+      portable(out, a, b);
+      return;
+    }
+#ifdef SGK_MONTGOMERY_ADX
+    if (k == 8) mk::mul_adx8(out, a, b, n_.data(), n0_inv_);
+    if (k == 16) mk::mul_adx16(out, a, b, n_.data(), n0_inv_, t_.data());
+#endif
+  }
+
+  void portable(u64* out, const u64* a, const u64* b) {
+    if (GetParam().limbs == 8)
+      mk::mul_portable<8>(out, a, b, n_.data(), n0_inv_, 8, t_.data());
+    else
+      mk::mul_portable<16>(out, a, b, n_.data(), n0_inv_, 16, t_.data());
+  }
+
+  Limbs padded(const BigInt& v) const {
+    Limbs l = v.limbs();
+    l.resize(n_.size(), 0);
+    return l;
+  }
+
+  /// 0, 1, n - 1 and random values below n.
+  std::vector<Limbs> operands(int random_count) {
+    const BigInt n = BigInt::from_limbs(n_);
+    std::vector<Limbs> v = {padded(BigInt()), padded(BigInt(1)),
+                            padded(n - BigInt(1))};
+    for (int i = 0; i < random_count; ++i)
+      v.push_back(padded(BigInt::random_below(n, *rng_)));
+    return v;
+  }
+
+  std::unique_ptr<Drbg> rng_;
+  Limbs n_;
+  u64 n0_inv_ = 0;
+  Limbs t_;
+};
+
+TEST_P(KernelDiff, EdgeAndRandomOperandsMatchOracle) {
+  const std::vector<Limbs> ops = operands(6);
+  Limbs out(n_.size());
+  for (const Limbs& a : ops)
+    for (const Limbs& b : ops) {
+      mul(out.data(), a.data(), b.data());
+      ASSERT_EQ(out, ref_mont_mul(a, b, n_, n0_inv_));
+    }
+}
+
+TEST_P(KernelDiff, OutputMayAliasEitherOperand) {
+  for (const Limbs& a : operands(4))
+    for (const Limbs& b : operands(2)) {
+      const Limbs want = ref_mont_mul(a, b, n_, n0_inv_);
+      Limbs x = a;
+      mul(x.data(), x.data(), b.data());
+      EXPECT_EQ(x, want) << "out aliases a";
+      Limbs y = b;
+      mul(y.data(), a.data(), y.data());
+      EXPECT_EQ(y, want) << "out aliases b";
+      Limbs z = a;
+      mul(z.data(), z.data(), z.data());
+      EXPECT_EQ(z, ref_mont_mul(a, a, n_, n0_inv_)) << "out aliases a and b";
+    }
+}
+
+TEST_P(KernelDiff, ChainedProductsMatchLimbForLimb) {
+  // Each step feeds the last product back in, alternating plain products,
+  // squarings in place and products into either operand; the fresh operand
+  // r < n has a random top limb below n's. The ADX kernels are checked
+  // against the portable kernel, the portable kernel against ref_mont_mul.
+  constexpr int kSteps = 100000;
+  const std::size_t k = n_.size();
+  const bool vs_portable = GetParam().kernel != KernelId::kPortable;
+  std::uint64_t state = 0x9e3779b97f4a7c15u * (k + GetParam().top_ones);
+  const auto next = [&state] {  // splitmix64
+    std::uint64_t z = (state += 0x9e3779b97f4a7c15u);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9u;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebu;
+    return z ^ (z >> 31);
+  };
+  Limbs x = operands(1).back();
+  Limbs want = x;
+  Limbs r(k), out(k);
+  for (int i = 0; i < kSteps; ++i) {
+    for (u64& l : r) l = next();
+    r[k - 1] %= n_[k - 1];
+    switch (i % 4) {
+      case 0:
+        mul(out.data(), x.data(), r.data());
+        x = out;
+        break;
+      case 1: mul(x.data(), x.data(), x.data()); break;
+      case 2: mul(x.data(), r.data(), x.data()); break;
+      default: mul(x.data(), x.data(), r.data()); break;
+    }
+    const Limbs& rhs = i % 4 == 1 ? want : r;
+    if (vs_portable) {
+      portable(want.data(), want.data(), rhs.data());
+    } else {
+      want = ref_mont_mul(want, rhs, n_, n0_inv_);
+    }
+    ASSERT_EQ(x, want) << "step " << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Kernels, KernelDiff,
+    ::testing::Values(KernelCase{KernelId::kPortable, 8, false},
+                      KernelCase{KernelId::kPortable, 8, true},
+                      KernelCase{KernelId::kPortable, 16, false},
+                      KernelCase{KernelId::kPortable, 16, true},
+                      KernelCase{KernelId::kAdx, 8, false},
+                      KernelCase{KernelId::kAdx, 8, true},
+                      KernelCase{KernelId::kAdx, 16, false},
+                      KernelCase{KernelId::kAdx, 16, true}),
+    [](const ::testing::TestParamInfo<KernelCase>& info) {
+      return std::string(info.param.kernel == KernelId::kAdx ? "Adx"
+                                                             : "Portable") +
+             std::to_string(info.param.limbs) +
+             (info.param.top_ones ? "TopOnes" : "");
+    });
 
 }  // namespace
 }  // namespace sgk

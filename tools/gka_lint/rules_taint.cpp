@@ -74,10 +74,12 @@ const char* const kBoundaries[] = {
     // taint and GKA6xx rules stop at their signature rather than flagging
     // every protocol-layer exp(g, secret) call. That is a scoping decision,
     // not a timing claim: the kernel is a variable-time sliding window — it
-    // branches on exponent bits, indexes its table by them, and ends every
-    // Montgomery multiply with a data-dependent subtraction. exp_g is
-    // variable-time too: it reads the fixed-base table for g at
-    // secret-digit indices and skips zero digits. A constant-time secret
+    // branches on exponent bits and indexes its table by them, and the
+    // portable Montgomery multiply (the only one off x86-64 ADX CPUs, and
+    // the only one at widths other than 8 and 16 limbs) ends with a
+    // data-dependent subtraction. exp_g is variable-time too: it reads the
+    // fixed-base table for g at secret-digit indices and skips zero digits.
+    // A constant-time secret
     // path is open work (ROADMAP.md item 1, "Split modexp into public,
     // secret and fixed-base paths").
     "exp",            "exp_g",
