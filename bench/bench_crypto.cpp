@@ -8,6 +8,8 @@
 // for this implementation too.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <optional>
 #include <vector>
 
 #include "bignum/modmath.h"
@@ -59,11 +61,12 @@ void BM_MontMul(benchmark::State& state, DhBits bits) {
 BENCHMARK_CAPTURE(BM_MontMul, 512, DhBits::k512);
 BENCHMARK_CAPTURE(BM_MontMul, 1024, DhBits::k1024);
 
-// One kernel multiply, x = x * y * R^-1 mod p, per kernel at 8 limbs (DH-512
-// p; the RSA-CRT primes are 8 limbs too) and 16 (DH-1024 p, RSA-1024 n).
-// MontgomeryCtx uses the ADX kernel wherever the CPU has it (the
-// "montgomery_kernel" context line says which); these rows time each kernel
-// on its own.
+// One kernel multiply, x = x * y * R^-1 mod p, or square, x = x * x * R^-1
+// mod p, per kernel at 8 limbs (DH-512 p; the RSA-CRT primes are 8 limbs
+// too) and 16 (DH-1024 p, RSA-1024 n). MontgomeryCtx uses the ADX kernels
+// wherever the CPU has it (the "montgomery_kernel" context line says which);
+// these rows time each kernel on its own. The 8-limb ADX rows keep x in the
+// kernel frame, as an exponentiation keeps its accumulator.
 template <class Mul>
 void run_kernel(benchmark::State& state, Mul mul) {
   namespace mk = montgomery_kernels;
@@ -96,20 +99,54 @@ void BM_MontMulKernel_portable(benchmark::State& state) {
 BENCHMARK(BM_MontMulKernel_portable)->Arg(8)->Arg(16);
 
 #ifdef SGK_MONTGOMERY_ADX
+// The 8-limb frame for modulus n, holding x; its operand is x from then on.
+montgomery_kernels::Adx8Frame adx8_frame(const montgomery_kernels::Limb* x,
+                                         const montgomery_kernels::Limb* n,
+                                         montgomery_kernels::Limb n0) {
+  montgomery_kernels::Adx8Frame f{};
+  f.n0_inv = n0;
+  std::copy(n, n + 8, f.n);
+  std::copy(x, x + 8, f.a);
+  return f;
+}
+
 void BM_MontMulKernel_adx(benchmark::State& state) {
   if (!montgomery_kernels::adx_available()) {
     state.SkipWithError("this CPU lacks ADX or BMI2");
     return;
   }
+  std::optional<montgomery_kernels::Adx8Frame> f;
   run_kernel(state, [&](auto* x, const auto* y, const auto* n, auto n0,
                         auto* t) {
-    if (state.range(0) == 8)
-      montgomery_kernels::mul_adx8(x, x, y, n, n0);
-    else
+    if (state.range(0) == 8) {
+      if (!f) f = adx8_frame(x, n, n0);
+      montgomery_kernels::mul_adx8(*f, y, f->a);
+      benchmark::DoNotOptimize(f->a);
+    } else {
       montgomery_kernels::mul_adx16(x, x, y, n, n0, t);
+    }
   });
 }
 BENCHMARK(BM_MontMulKernel_adx)->Arg(8)->Arg(16);
+
+void BM_MontSqrKernel_adx(benchmark::State& state) {
+  if (!montgomery_kernels::adx_available()) {
+    state.SkipWithError("this CPU lacks ADX or BMI2");
+    return;
+  }
+  std::optional<montgomery_kernels::Adx8Frame> f;
+  run_kernel(state, [&](auto* x, const auto*, const auto* n, auto n0,
+                        auto* t) {
+    if (state.range(0) == 8) {
+      if (!f) f = adx8_frame(x, n, n0);
+      montgomery_kernels::sqr_adx8(*f, f->a);
+      benchmark::DoNotOptimize(f->a);
+    } else {
+      montgomery_kernels::sqr_adx16(x, x, n, n0, t);
+    }
+  });
+}
+BENCHMARK(BM_MontSqrKernel_adx)->Arg(8)->Arg(16);
 #endif
 
 void BM_ModExp512_SmallExponent(benchmark::State& state) {

@@ -1,9 +1,10 @@
 // Host cost of growing one group by joins, against group size.
 //
 // For each protocol and each n in --sizes, a fresh deployment on the
-// paper's 13-machine LAN grows a group (512-bit DH) to n members, one join
-// at a time (each join runs to quiescence), and the bench prints the host
-// wall time of that build beside exact work counts:
+// paper's 13-machine LAN (or, with --topology wan, its three-site WAN)
+// grows a group (512-bit DH) to n members, one join at a time (each join
+// runs to quiescence), and the bench prints the host wall time of that
+// build beside exact work counts:
 //
 //   verify_ops       signature checks, summed over the members (counted per
 //                    receiver, whatever the verify memo saves)
@@ -19,6 +20,7 @@
 // the same key at the same epoch fails the bench (exit 1).
 //
 //   scale_wall --protocol tgdh --sizes 64,128,256
+//   scale_wall --topology wan --sizes 16,48
 #include <cstdint>
 #include <iomanip>
 #include <iostream>
@@ -46,13 +48,14 @@ struct Build {
   bool agreed = false;
 };
 
-Build grow(sgk::ProtocolKind kind, std::size_t n, std::uint64_t seed) {
+Build grow(const sgk::Topology& topology, sgk::ProtocolKind kind,
+           std::size_t n, std::uint64_t seed) {
   sgk::MemberConfig member;
   member.protocol = kind;
   member.seed = seed;
   Build b;
   const std::uint64_t t0 = sgk::obs::wall_now_ns();
-  sgk::server::Deployment d(sgk::lan_testbed(13), sgk::SpreadParams{}, member);
+  sgk::server::Deployment d(topology, sgk::SpreadParams{}, member);
   for (std::size_t i = 0; i < n; ++i) {
     d.apply(sgk::fault::ChurnOp{d.sim().now(), sgk::fault::ChurnKind::kJoin, 0});
     d.sim().run();
@@ -86,12 +89,19 @@ int main(int argc, char** argv) {
   std::vector<sgk::ProtocolKind> protocols;
   sgk::parse_protocols("all", protocols);
   std::vector<int> sizes = {8, 16, 32};
+  std::string topology_name = "lan";
   sgk::FlagTable flags(opts);
   flags.add("--protocol P", protocols,
             "all (the paper's five), or one of gdh|ckd|tgdh|str|bd");
   flags.add("--sizes N,...", sizes, "group sizes to grow to",
             sgk::at_least(2, sgk::kMaxWireMembers));
+  flags.add("--topology T", topology_name,
+            "lan (the paper's 13-machine LAN) or wan (its three-site WAN)");
   if (const auto status = flags.parse(argc, argv)) return *status;
+  if (topology_name != "lan" && topology_name != "wan")
+    return flags.fail("--topology", "must be lan or wan, got");
+  const sgk::Topology topology =
+      topology_name == "lan" ? sgk::lan_testbed(13) : sgk::wan_testbed();
 
   sgk::ObsSession session(opts);
   sgk::obs::RunReport report("scale_wall");
@@ -107,7 +117,7 @@ int main(int argc, char** argv) {
   for (const sgk::ProtocolKind kind : protocols) {
     for (const int size : sizes) {
       const auto n = static_cast<std::size_t>(size);
-      const Build b = grow(kind, n, opts.seed);
+      const Build b = grow(topology, kind, n, opts.seed);
       all_agreed = all_agreed && b.agreed;
       std::cout << std::left << std::setw(9) << sgk::to_string(kind)
                 << std::right << std::setw(6) << n << std::setw(10)
@@ -119,6 +129,7 @@ int main(int argc, char** argv) {
                 << std::setw(12) << b.sim_events
                 << (b.agreed ? "" : "  FAIL: members disagree") << "\n";
       sgk::obs::Json row = sgk::obs::Json::object();
+      row.set("topology", sgk::obs::Json(topology_name));
       row.set("protocol", sgk::obs::Json(sgk::to_string(kind)));
       row.set("n", count(n));
       row.set("verify_ops", count(b.verify_ops));

@@ -15,10 +15,14 @@
 // every other modulus. On x86-64 CPUs with ADX and BMI2 (detected once per
 // process; nothing else selects it) the 8- and 16-limb widths use an
 // inline-assembly CIOS kernel instead: MULX with two independent carry
-// chains (ADCX/ADOX) and a branch-free final subtraction. Both give the same
-// limbs. On top of them:
+// chains (ADCX/ADOX) and a branch-free final subtraction, plus a dedicated
+// squaring kernel that forms each cross product once. Both give the same
+// limbs. At 8 limbs an exponentiation keeps the kernels' frame (n and its
+// accumulator) resident, so the hot loop copies no limbs. On top of them:
 //   - exp(): 4-bit sliding window, or plain square-and-multiply for
-//     exponents of at most 8 bits (RSA e = 3, BD's small exponents);
+//     exponents of at most 8 bits (RSA e = 3, BD's small exponents), with
+//     every squaring on the squaring kernel and the windows read straight
+//     from the exponent's limbs;
 //   - exp(FixedBase, e): a precomputed table of base^(d * 16^i), so a fixed
 //     base costs one multiply per non-zero 4-bit exponent digit and no
 //     squarings (DhGroup's g).

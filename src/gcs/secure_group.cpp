@@ -92,15 +92,14 @@ void SecureGroupMember::request_rekey() {
 
 Bytes SecureGroupMember::frame_and_sign(WireKind kind, const Bytes& body) {
   obs::WallScope wall("serde/frame_encode");
-  Writer signed_part;
-  signed_part.u8(static_cast<std::uint8_t>(kind));
-  signed_part.u64(epoch_);
-  signed_part.u32(self_);
-  signed_part.bytes(body);
-  Bytes to_sign = signed_part.take();
-  Bytes sig = crypto_.sign(to_sign);
+  // The signature covers everything before it and follows it in the same
+  // buffer.
   Writer w;
-  w.raw(to_sign);
+  w.u8(static_cast<std::uint8_t>(kind));
+  w.u64(epoch_);
+  w.u32(self_);
+  w.bytes(body);
+  const Bytes sig = crypto_.sign(w.data());
   w.bytes(sig);
   Bytes wire = w.take();
   // Record the pristine wire for the loopback-integrity check (see

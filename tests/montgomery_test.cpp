@@ -216,7 +216,14 @@ TEST_P(KernelWidth, ExpMatchesOracle) {
   const RefMont ref(n_);
   std::vector<BigInt> exps = {BigInt(), BigInt(1), BigInt(2), BigInt(3),
                               BigInt(255), BigInt(256), n_ - BigInt(1)};
-  for (std::size_t bits : {9, 64, 160, 512})
+  // The windows are read from the exponent's limbs: all-ones exponents put
+  // windows across limb boundaries, single bits make runs of squarings, and
+  // 8 and 9 bits sit on either side of the short-exponent path.
+  for (std::size_t bits : {8, 9, 63, 64, 65, 130, 513})
+    exps.push_back((BigInt(1) << bits) - BigInt(1));
+  for (std::size_t bit : {7, 8, 63, 64, 200})
+    exps.push_back(BigInt(1) << bit);
+  for (std::size_t bits : {8, 9, 64, 160, 512})
     exps.push_back(BigInt::random_bits(bits, *rng_));
   for (const BigInt& base : operands(4))
     for (const BigInt& e : exps) EXPECT_EQ(ctx.exp(base, e), ref.exp(base, e));
@@ -307,17 +314,24 @@ INSTANTIATE_TEST_SUITE_P(Groups, GroupTables,
 
 namespace mk = montgomery_kernels;
 
-enum class KernelId { kPortable, kAdx };
+// gtest prints each parameter's bytes into the test name; with 64-bit
+// fields KernelCase has no padding, so the names repeat in every build.
+enum class KernelId : std::uint64_t { kPortable, kAdx };
+// A random modulus, one with an all-ones top limb, or 2^(64 * limbs) - 1.
+enum class Modulus : std::uint64_t { kRandom, kTopOnes, kAllOnes };
 
 struct KernelCase {
   KernelId kernel;
   std::size_t limbs;
-  bool top_ones;
+  Modulus modulus;
+
+  bool top_ones() const { return modulus != Modulus::kRandom; }
 };
 
 /// One kernel at one width, checked limb for limb against ref_mont_mul or,
 /// over long chains, against the portable kernel (itself checked against
-/// ref_mont_mul here).
+/// ref_mont_mul here). Each multiply case also checks that kernel's
+/// squaring: the ADX square kernels, or the portable multiply with a == b.
 class KernelDiff : public ::testing::TestWithParam<KernelCase> {
  protected:
   void SetUp() override {
@@ -329,23 +343,62 @@ class KernelDiff : public ::testing::TestWithParam<KernelCase> {
       GTEST_SKIP() << "the ADX kernels are built only for x86-64 GCC/Clang";
 #endif
     }
-    rng_ = std::make_unique<Drbg>(c.limbs * 2 + c.top_ones, "montgomery-diff");
-    const BigInt n = modulus_of(c.limbs, c.top_ones, *rng_);
+    rng_ = std::make_unique<Drbg>(c.limbs * 2 + c.top_ones(),
+                                  "montgomery-diff");
+    const BigInt n = c.modulus == Modulus::kAllOnes
+                         ? (BigInt(1) << (64 * c.limbs)) - BigInt(1)
+                         : modulus_of(c.limbs, c.top_ones(), *rng_);
     n_ = n.limbs();
+    ASSERT_EQ(n_.size(), c.limbs);
     n0_inv_ = mk::neg_inv64(n_[0]);
     t_.assign(mk::portable_temp_limbs(c.limbs), 0);
+#ifdef SGK_MONTGOMERY_ADX
+    if (c.limbs == 8) {
+      frame_.n0_inv = n0_inv_;
+      std::copy(n_.begin(), n_.end(), frame_.n);
+    }
+#endif
+  }
+
+  bool adx8() const {
+    return GetParam().kernel == KernelId::kAdx && GetParam().limbs == 8;
+  }
+
+  /// Where a chain keeps its running value: in the 8-limb ADX frame, as an
+  /// exponentiation does, else at `own`.
+  u64* resident(u64* own) {
+#ifdef SGK_MONTGOMERY_ADX
+    if (adx8()) return frame_.a;
+#endif
+    return own;
   }
 
   /// out = a * b * R^-1 mod n through the kernel under test.
   void mul(u64* out, const u64* a, const u64* b) {
-    const std::size_t k = GetParam().limbs;
     if (GetParam().kernel == KernelId::kPortable) {
       portable(out, a, b);
       return;
     }
 #ifdef SGK_MONTGOMERY_ADX
-    if (k == 8) mk::mul_adx8(out, a, b, n_.data(), n0_inv_);
-    if (k == 16) mk::mul_adx16(out, a, b, n_.data(), n0_inv_, t_.data());
+    if (GetParam().limbs == 8) {
+      if (b == frame_.a) std::swap(a, b);
+      mk::mul_adx8(frame_with(a), b, out);
+    }
+    if (GetParam().limbs == 16)
+      mk::mul_adx16(out, a, b, n_.data(), n0_inv_, t_.data());
+#endif
+  }
+
+  /// out = a * a * R^-1 mod n through the kernel's squaring.
+  void sqr(u64* out, const u64* a) {
+    if (GetParam().kernel == KernelId::kPortable) {
+      portable(out, a, a);
+      return;
+    }
+#ifdef SGK_MONTGOMERY_ADX
+    if (GetParam().limbs == 8) mk::sqr_adx8(frame_with(a), out);
+    if (GetParam().limbs == 16)
+      mk::sqr_adx16(out, a, n_.data(), n0_inv_, t_.data());
 #endif
   }
 
@@ -362,11 +415,12 @@ class KernelDiff : public ::testing::TestWithParam<KernelCase> {
     return l;
   }
 
-  /// 0, 1, n - 1 and random values below n.
+  /// 0, 1, n - 1, R mod n and random values below n.
   std::vector<Limbs> operands(int random_count) {
     const BigInt n = BigInt::from_limbs(n_);
     std::vector<Limbs> v = {padded(BigInt()), padded(BigInt(1)),
-                            padded(n - BigInt(1))};
+                            padded(n - BigInt(1)),
+                            padded((BigInt(1) << (64 * n_.size())) % n)};
     for (int i = 0; i < random_count; ++i)
       v.push_back(padded(BigInt::random_below(n, *rng_)));
     return v;
@@ -376,6 +430,15 @@ class KernelDiff : public ::testing::TestWithParam<KernelCase> {
   Limbs n_;
   u64 n0_inv_ = 0;
   Limbs t_;
+#ifdef SGK_MONTGOMERY_ADX
+  mk::Adx8Frame frame_{};
+
+  /// The 8-limb frame with operand a, copied in unless it is already there.
+  mk::Adx8Frame& frame_with(const u64* a) {
+    if (a != frame_.a) std::copy(a, a + 8, frame_.a);
+    return frame_;
+  }
+#endif
 };
 
 TEST_P(KernelDiff, EdgeAndRandomOperandsMatchOracle) {
@@ -389,6 +452,7 @@ TEST_P(KernelDiff, EdgeAndRandomOperandsMatchOracle) {
 }
 
 TEST_P(KernelDiff, OutputMayAliasEitherOperand) {
+  const std::size_t k = n_.size();
   for (const Limbs& a : operands(4))
     for (const Limbs& b : operands(2)) {
       const Limbs want = ref_mont_mul(a, b, n_, n0_inv_);
@@ -401,38 +465,91 @@ TEST_P(KernelDiff, OutputMayAliasEitherOperand) {
       Limbs z = a;
       mul(z.data(), z.data(), z.data());
       EXPECT_EQ(z, ref_mont_mul(a, a, n_, n0_inv_)) << "out aliases a and b";
+      // With the 8-limb ADX kernels, the frame's operand is any of them.
+      Limbs own(k);
+      u64* r = resident(own.data());
+      std::copy(a.begin(), a.end(), r);
+      mul(r, r, b.data());
+      EXPECT_EQ(Limbs(r, r + k), want) << "resident a and out";
+      std::copy(a.begin(), a.end(), r);
+      mul(r, b.data(), r);
+      EXPECT_EQ(Limbs(r, r + k), want) << "resident b and out";
     }
 }
+
+TEST_P(KernelDiff, SquaresMatchOracle) {
+  // The square kernels against the portable multiply with a == b and the
+  // oracle, on 0, 1, n - 1, R mod n and random operands.
+  Limbs out(n_.size()), want(n_.size());
+  for (const Limbs& a : operands(16)) {
+    sqr(out.data(), a.data());
+    portable(want.data(), a.data(), a.data());
+    ASSERT_EQ(out, want);
+    ASSERT_EQ(out, ref_mont_mul(a, a, n_, n0_inv_));
+  }
+}
+
+TEST_P(KernelDiff, SquareOutputMayAliasInput) {
+  const std::size_t k = n_.size();
+  for (const Limbs& a : operands(4)) {
+    const Limbs want = ref_mont_mul(a, a, n_, n0_inv_);
+    Limbs x = a;
+    sqr(x.data(), x.data());
+    EXPECT_EQ(x, want) << "out aliases a";
+    Limbs own(k);
+    u64* r = resident(own.data());
+    std::copy(a.begin(), a.end(), r);
+    sqr(r, r);
+    EXPECT_EQ(Limbs(r, r + k), want) << "resident a and out";
+    Limbs other(k);
+    std::copy(a.begin(), a.end(), r);
+    sqr(other.data(), r);
+    EXPECT_EQ(other, want) << "resident a";
+  }
+}
+
+// splitmix64: the stream the chained tests draw fresh operands from.
+class Splitmix {
+ public:
+  explicit Splitmix(std::uint64_t seed) : state_(seed) {}
+  std::uint64_t next() {
+    std::uint64_t z = (state_ += 0x9e3779b97f4a7c15u);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9u;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebu;
+    return z ^ (z >> 31);
+  }
+
+ private:
+  std::uint64_t state_;
+};
 
 TEST_P(KernelDiff, ChainedProductsMatchLimbForLimb) {
   // Each step feeds the last product back in, alternating plain products,
   // squarings in place and products into either operand; the fresh operand
-  // r < n has a random top limb below n's. The ADX kernels are checked
+  // r < n has a random top limb below n's. The running value stays where an
+  // exponentiation keeps it (resident()). The ADX kernels are checked
   // against the portable kernel, the portable kernel against ref_mont_mul.
   constexpr int kSteps = 100000;
   const std::size_t k = n_.size();
   const bool vs_portable = GetParam().kernel != KernelId::kPortable;
-  std::uint64_t state = 0x9e3779b97f4a7c15u * (k + GetParam().top_ones);
-  const auto next = [&state] {  // splitmix64
-    std::uint64_t z = (state += 0x9e3779b97f4a7c15u);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9u;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebu;
-    return z ^ (z >> 31);
-  };
-  Limbs x = operands(1).back();
-  Limbs want = x;
+  Splitmix fresh(0x9e3779b97f4a7c15u * (k + GetParam().top_ones()));
+  Limbs own(k);
+  u64* x = resident(own.data());
+  const Limbs start = operands(1).back();
+  std::copy(start.begin(), start.end(), x);
+  Limbs want = start;
   Limbs r(k), out(k);
   for (int i = 0; i < kSteps; ++i) {
-    for (u64& l : r) l = next();
+    for (u64& l : r) l = fresh.next();
     r[k - 1] %= n_[k - 1];
     switch (i % 4) {
       case 0:
-        mul(out.data(), x.data(), r.data());
-        x = out;
+        mul(out.data(), x, r.data());
+        std::copy(out.begin(), out.end(), x);
         break;
-      case 1: mul(x.data(), x.data(), x.data()); break;
-      case 2: mul(x.data(), r.data(), x.data()); break;
-      default: mul(x.data(), x.data(), r.data()); break;
+      case 1: mul(x, x, x); break;
+      case 2: mul(x, r.data(), x); break;
+      default: mul(x, x, r.data()); break;
     }
     const Limbs& rhs = i % 4 == 1 ? want : r;
     if (vs_portable) {
@@ -440,25 +557,55 @@ TEST_P(KernelDiff, ChainedProductsMatchLimbForLimb) {
     } else {
       want = ref_mont_mul(want, rhs, n_, n0_inv_);
     }
-    ASSERT_EQ(x, want) << "step " << i;
+    ASSERT_EQ(Limbs(x, x + k), want) << "step " << i;
+  }
+}
+
+TEST_P(KernelDiff, ChainedSquaresMatchLimbForLimb) {
+  // 10^5 squarings in place of the running value, as the square-and-
+  // multiply and sliding-window loops do, each checked against the portable
+  // multiply (the portable kernel against ref_mont_mul).
+  constexpr int kSteps = 100000;
+  const std::size_t k = n_.size();
+  const bool vs_portable = GetParam().kernel != KernelId::kPortable;
+  Limbs own(k);
+  u64* x = resident(own.data());
+  const Limbs start = operands(1).back();
+  std::copy(start.begin(), start.end(), x);
+  Limbs want = start;
+  for (int i = 0; i < kSteps; ++i) {
+    sqr(x, x);
+    if (vs_portable) {
+      portable(want.data(), want.data(), want.data());
+    } else {
+      want = ref_mont_mul(want, want, n_, n0_inv_);
+    }
+    ASSERT_EQ(Limbs(x, x + k), want) << "step " << i;
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Kernels, KernelDiff,
-    ::testing::Values(KernelCase{KernelId::kPortable, 8, false},
-                      KernelCase{KernelId::kPortable, 8, true},
-                      KernelCase{KernelId::kPortable, 16, false},
-                      KernelCase{KernelId::kPortable, 16, true},
-                      KernelCase{KernelId::kAdx, 8, false},
-                      KernelCase{KernelId::kAdx, 8, true},
-                      KernelCase{KernelId::kAdx, 16, false},
-                      KernelCase{KernelId::kAdx, 16, true}),
+    ::testing::Values(
+        KernelCase{KernelId::kPortable, 8, Modulus::kRandom},
+        KernelCase{KernelId::kPortable, 8, Modulus::kTopOnes},
+        KernelCase{KernelId::kPortable, 16, Modulus::kRandom},
+        KernelCase{KernelId::kPortable, 16, Modulus::kTopOnes},
+        KernelCase{KernelId::kAdx, 8, Modulus::kRandom},
+        KernelCase{KernelId::kAdx, 8, Modulus::kTopOnes},
+        KernelCase{KernelId::kAdx, 16, Modulus::kRandom},
+        KernelCase{KernelId::kAdx, 16, Modulus::kTopOnes},
+        KernelCase{KernelId::kPortable, 8, Modulus::kAllOnes},
+        KernelCase{KernelId::kPortable, 16, Modulus::kAllOnes},
+        KernelCase{KernelId::kAdx, 8, Modulus::kAllOnes},
+        KernelCase{KernelId::kAdx, 16, Modulus::kAllOnes}),
     [](const ::testing::TestParamInfo<KernelCase>& info) {
-      return std::string(info.param.kernel == KernelId::kAdx ? "Adx"
-                                                             : "Portable") +
-             std::to_string(info.param.limbs) +
-             (info.param.top_ones ? "TopOnes" : "");
+      const KernelCase& c = info.param;
+      return std::string(c.kernel == KernelId::kAdx ? "Adx" : "Portable") +
+             std::to_string(c.limbs) +
+             (c.modulus == Modulus::kAllOnes   ? "AllOnes"
+              : c.modulus == Modulus::kTopOnes ? "TopOnes"
+                                               : "");
     });
 
 }  // namespace

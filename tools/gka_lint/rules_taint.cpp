@@ -77,11 +77,12 @@ const char* const kBoundaries[] = {
     // branches on exponent bits and indexes its table by them, and the
     // portable Montgomery multiply (the only one off x86-64 ADX CPUs, and
     // the only one at widths other than 8 and 16 limbs) ends with a
-    // data-dependent subtraction. exp_g is variable-time too: it reads the
-    // fixed-base table for g at secret-digit indices and skips zero digits.
-    // A constant-time secret
-    // path is open work (ROADMAP.md item 1, "Split modexp into public,
-    // secret and fixed-base paths").
+    // data-dependent subtraction. The ADX multiply and square kernels end
+    // branch-free, which does not make the exponentiations around them
+    // constant-time. exp_g is variable-time too: it reads the fixed-base
+    // table for g at secret-digit indices and skips zero digits. A
+    // constant-time secret path is open work (ROADMAP.md item 1, "Split
+    // modexp into public, secret and fixed-base paths").
     "exp",            "exp_g",
 };
 
